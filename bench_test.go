@@ -1,5 +1,6 @@
-// Benchmarks: one per experiment in EXPERIMENTS.md (the paper's
-// Figure 1 plus the quantitative claims E1-E7 from §4 and §5). Run
+// Benchmarks: one per experiment of the internal/bench harness (the
+// paper's Figure 1 plus E1-E16; the package doc of internal/bench maps
+// each one to the claim it reproduces). Run
 //
 //	go test -bench=. -benchmem
 //
@@ -45,7 +46,7 @@ func benchDB(b *testing.B, n int) *minidb.DB {
 
 func benchPrep(b *testing.B, n int) *core.Prepared {
 	b.Helper()
-	prep, err := core.Prepare(benchDB(b, n), benchMealQuery)
+	prep, err := core.PrepareContext(context.Background(), benchDB(b, n), benchMealQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,12 +58,12 @@ func benchPrep(b *testing.B, n int) *core.Prepared {
 // render the package-space summary.
 func BenchmarkF1_SummaryRender(b *testing.B) {
 	db := benchDB(b, 500)
-	ses, err := explore.NewSession(db, benchMealQuery, core.Options{Seed: 1})
+	ses, err := explore.NewSessionContext(context.Background(), db, benchMealQuery, core.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	prep := ses.Prepared()
-	res, err := prep.Run(core.Options{Limit: 8, Seed: 1})
+	res, err := prep.RunContext(context.Background(), core.Options{Limit: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func BenchmarkE2_Strategies(b *testing.B) {
 			prep := benchPrep(b, n)
 			b.Run(fmt.Sprintf("%s/n=%d", c.strategy, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := prep.Run(core.Options{Strategy: c.strategy, Seed: 1}); err != nil {
+					if _, err := prep.RunContext(context.Background(), core.Options{Strategy: c.strategy, Seed: 1}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -130,7 +131,7 @@ func BenchmarkE2_Strategies(b *testing.B) {
 func BenchmarkE3_KReplacement(b *testing.B) {
 	for _, n := range []int{100, 500} {
 		db := benchDB(b, n)
-		prep, err := core.Prepare(db, benchMealQuery)
+		prep, err := core.PrepareContext(context.Background(), db, benchMealQuery)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func BenchmarkE4_MultiPackage(b *testing.B) {
 // (the quality numbers are in cmd/pbench -exp e5).
 func BenchmarkE5_Quality(b *testing.B) {
 	db := benchDB(b, 200)
-	prep, err := core.Prepare(db, benchMealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, benchMealQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func BenchmarkE6_Repeat(b *testing.B) {
 			MAXIMIZE SUM(P.protein)`, repeat)
 		b.Run(fmt.Sprintf("repeat=%d", repeat), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Evaluate(db, q, core.Options{Strategy: core.Solver}); err != nil {
+				if _, err := core.EvaluateContext(context.Background(), db, q, core.Options{Strategy: core.Solver}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -235,7 +236,7 @@ func BenchmarkE7_Diversity(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := prep.Run(core.Options{
+				_, err := prep.RunContext(context.Background(), core.Options{
 					Strategy: core.Solver, Limit: 5, Diverse: diverse, Seed: 1,
 				})
 				if err != nil {
@@ -255,14 +256,14 @@ func BenchmarkE8_SketchRefine(b *testing.B) {
 		prep := benchPrep(b, n)
 		b.Run(fmt.Sprintf("exact/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := prep.Run(core.Options{Strategy: core.Solver, Seed: 1}); err != nil {
+				if _, err := prep.RunContext(context.Background(), core.Options{Strategy: core.Solver, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("sketch/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := prep.Run(core.Options{Strategy: core.SketchRefineStrategy, Seed: 1}); err != nil {
+				if _, err := prep.RunContext(context.Background(), core.Options{Strategy: core.SketchRefineStrategy, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -279,14 +280,14 @@ func BenchmarkE9_HierarchicalSketch(b *testing.B) {
 	prep := benchPrep(b, n)
 	b.Run(fmt.Sprintf("flat/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := prep.Run(core.Options{Strategy: core.SketchRefineStrategy, Seed: 1}); err != nil {
+			if _, err := prep.RunContext(context.Background(), core.Options{Strategy: core.SketchRefineStrategy, Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run(fmt.Sprintf("hier-d2/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := prep.Run(core.Options{Strategy: core.SketchRefineStrategy, Seed: 1, SketchDepth: 2}); err != nil {
+			if _, err := prep.RunContext(context.Background(), core.Options{Strategy: core.SketchRefineStrategy, Seed: 1, SketchDepth: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -294,12 +295,12 @@ func BenchmarkE9_HierarchicalSketch(b *testing.B) {
 	b.Run(fmt.Sprintf("hier-d2-cached/n=%d", n), func(b *testing.B) {
 		cache := sketch.NewCache(0)
 		opts := core.Options{Strategy: core.SketchRefineStrategy, Seed: 1, SketchDepth: 2, SketchCache: cache}
-		if _, err := prep.Run(opts); err != nil { // warm the cache
+		if _, err := prep.RunContext(context.Background(), opts); err != nil { // warm the cache
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := prep.Run(opts); err != nil {
+			if _, err := prep.RunContext(context.Background(), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -319,14 +320,14 @@ func BenchmarkE10_ParallelPersist(b *testing.B) {
 		opts := base
 		opts.SketchParallelism = 1
 		for i := 0; i < b.N; i++ {
-			if _, err := prep.Run(opts); err != nil {
+			if _, err := prep.RunContext(context.Background(), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run(fmt.Sprintf("parallel/n=%d/workers=%d", n, runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := prep.Run(base); err != nil {
+			if _, err := prep.RunContext(context.Background(), base); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -334,12 +335,12 @@ func BenchmarkE10_ParallelPersist(b *testing.B) {
 	b.Run(fmt.Sprintf("disk-warm/n=%d", n), func(b *testing.B) {
 		opts := base
 		opts.SketchPersistDir = b.TempDir()
-		if _, err := prep.Run(opts); err != nil { // cold run writes the tree
+		if _, err := prep.RunContext(context.Background(), opts); err != nil { // cold run writes the tree
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := prep.Run(opts); err != nil {
+			if _, err := prep.RunContext(context.Background(), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -355,13 +356,13 @@ func BenchmarkE11_FullGrammarSketch(b *testing.B) {
 	n := 20000
 	db := benchDB(b, n)
 	for _, q := range bench.E11Queries {
-		prep, err := core.Prepare(db, q.Query)
+		prep, err := core.PrepareContext(context.Background(), db, q.Query)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("%s/n=%d", q.Name, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := prep.Run(core.Options{Strategy: core.SketchRefineStrategy, Seed: 1, SketchDepth: 2})
+				res, err := prep.RunContext(context.Background(), core.Options{Strategy: core.SketchRefineStrategy, Seed: 1, SketchDepth: 2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -383,7 +384,7 @@ func BenchmarkE11_FullGrammarSketch(b *testing.B) {
 func BenchmarkE12_IncrementalMaintenance(b *testing.B) {
 	n := 20000
 	db := benchDB(b, n)
-	prep, err := core.Prepare(db, benchMealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, benchMealQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func BenchmarkE12_IncrementalMaintenance(b *testing.B) {
 	if _, err := db.Exec(fmt.Sprintf("DELETE FROM recipes WHERE id > %d AND id <= %d", n/2, n/2+batch/5)); err != nil {
 		b.Fatal(err)
 	}
-	prep2, err := core.Prepare(db, benchMealQuery)
+	prep2, err := core.PrepareContext(context.Background(), db, benchMealQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -453,13 +454,13 @@ func BenchmarkE13_PlannerVsHandSet(b *testing.B) {
 		b.Run(fmt.Sprintf("read-only/%s/n=%d", v.name, n), func(b *testing.B) {
 			db := benchDB(b, n)
 			opts := v.opts(db)
-			prep, err := core.Prepare(db, benchMealQuery)
+			prep, err := core.PrepareContext(context.Background(), db, benchMealQuery)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := prep.Run(opts); err != nil {
+				if _, err := prep.RunContext(context.Background(), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -467,11 +468,11 @@ func BenchmarkE13_PlannerVsHandSet(b *testing.B) {
 		b.Run(fmt.Sprintf("write-heavy/%s/n=%d", v.name, n), func(b *testing.B) {
 			db := benchDB(b, n)
 			opts := v.opts(db)
-			prep, err := core.Prepare(db, benchMealQuery)
+			prep, err := core.PrepareContext(context.Background(), db, benchMealQuery)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := prep.Run(opts); err != nil { // warm the tree
+			if _, err := prep.RunContext(context.Background(), opts); err != nil { // warm the tree
 				b.Fatal(err)
 			}
 			batch := n / 100
@@ -482,12 +483,12 @@ func BenchmarkE13_PlannerVsHandSet(b *testing.B) {
 			if err := db.InsertRows("recipes", rows); err != nil {
 				b.Fatal(err)
 			}
-			if prep, err = core.Prepare(db, benchMealQuery); err != nil {
+			if prep, err = core.PrepareContext(context.Background(), db, benchMealQuery); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := prep.Run(opts); err != nil {
+				if _, err := prep.RunContext(context.Background(), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -506,7 +507,7 @@ func BenchmarkE15_CertifiedBounds(b *testing.B) {
 	n := 20000
 	b.Run(fmt.Sprintf("certified/n=%d", n), func(b *testing.B) {
 		db := benchDB(b, n)
-		prep, err := core.Prepare(db, benchMealQuery)
+		prep, err := core.PrepareContext(context.Background(), db, benchMealQuery)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -514,7 +515,7 @@ func BenchmarkE15_CertifiedBounds(b *testing.B) {
 			SketchMemo: core.NewFingerprintMemo(), Catalog: catalog.New(db)}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := prep.Run(opts)
+			res, err := prep.RunContext(context.Background(), opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -525,11 +526,11 @@ func BenchmarkE15_CertifiedBounds(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("anytime-gap5/n=%d", n), func(b *testing.B) {
 		db := benchDB(b, n)
-		prep, err := core.Prepare(db, bench.E15Disjunctive)
+		prep, err := core.PrepareContext(context.Background(), db, bench.E15Disjunctive)
 		if err != nil {
 			b.Fatal(err)
 		}
-		control, err := prep.Run(core.Options{Strategy: core.SketchRefineStrategy, Seed: 1,
+		control, err := prep.RunContext(context.Background(), core.Options{Strategy: core.SketchRefineStrategy, Seed: 1,
 			SketchCache: sketch.NewCache(0), SketchMemo: core.NewFingerprintMemo()})
 		if err != nil {
 			b.Fatal(err)
@@ -539,7 +540,7 @@ func BenchmarkE15_CertifiedBounds(b *testing.B) {
 			GapTolerance: 0.05}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := prep.Run(opts)
+			res, err := prep.RunContext(context.Background(), opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -563,7 +564,7 @@ func BenchmarkE15_CertifiedBounds(b *testing.B) {
 func BenchmarkE16_BandTightening(b *testing.B) {
 	n := 20000
 	db := benchDB(b, n)
-	prep, err := core.Prepare(db, bench.E16Query)
+	prep, err := core.PrepareContext(context.Background(), db, bench.E16Query)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -615,12 +616,12 @@ func BenchmarkE14_LifecycleLoad(b *testing.B) {
 	cache := sketch.NewCache(0)
 	opts := core.Options{Strategy: core.SketchRefineStrategy, Seed: 1,
 		SketchCache: cache, SketchMemo: core.NewFingerprintMemo()}
-	prep, err := core.Prepare(db, benchMealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, benchMealQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
 	prep.SketchCache = cache
-	if _, err := prep.Run(opts); err != nil {
+	if _, err := prep.RunContext(context.Background(), opts); err != nil {
 		b.Fatal(err) // warm the tree outside the timed region
 	}
 	adm := lifecycle.NewController(4, 1<<20)

@@ -1,7 +1,8 @@
-// Command pbench regenerates every experiment in EXPERIMENTS.md: the
-// Figure 1 interface reproduction (F1) and the quantitative experiments
-// E1-E12 derived from the paper's §4 evaluation techniques, §5 research
-// directions, and the SketchRefine follow-up papers.
+// Command pbench regenerates every experiment of the internal/bench
+// harness (its package doc lists them): the Figure 1 interface
+// reproduction (F1) and the quantitative experiments E1-E16 derived from
+// the paper's §4 evaluation techniques, §5 research directions, and the
+// SketchRefine follow-up papers.
 //
 // Usage:
 //

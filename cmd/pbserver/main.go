@@ -373,6 +373,17 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 	return release, true
 }
 
+// options returns the server-wide evaluation options every solve
+// shares: the fixed seed, the shared tree cache, fingerprint memo and
+// catalog, the -sketch-dir and -sketch-incr defaults, and the
+// per-query lifecycle limits (the soft time budget, which a hard ctx
+// deadline trails, and the memory-admission gate).
+func (s *server) options() core.Options {
+	return core.Options{Seed: 1, SketchCache: s.cache, SketchMemo: s.memo,
+		SketchPersistDir: s.persistDir, SketchIncremental: s.incremental,
+		Catalog: s.cat, Timeout: s.timeout, MemoryBudget: s.memBudget}
+}
+
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Query       string `json:"query"`
@@ -386,20 +397,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.httpErr(w, r, err)
 		return
 	}
-	incremental := s.incremental
+	opts := s.options()
+	opts.SketchDepth = req.SketchDepth
+	opts.SketchParallelism = req.SketchPar
 	if req.SketchIncr != nil {
-		incremental = *req.SketchIncr
-	}
-	opts := core.Options{Seed: 1, SketchCache: s.cache, SketchDepth: req.SketchDepth,
-		SketchParallelism: req.SketchPar, SketchPersistDir: s.persistDir,
-		SketchMemo: s.memo, SketchIncremental: incremental,
 		// Only an explicit request field forces patch-vs-rebuild; the
 		// server default leaves the planner in charge.
-		SketchIncrementalSet: req.SketchIncr != nil,
-		Catalog:              s.cat,
-		// Per-query lifecycle limits: the soft time budget (hard ctx
-		// deadline trails it) and the memory-admission gate.
-		Timeout: s.timeout, MemoryBudget: s.memBudget}
+		opts.SketchIncremental = *req.SketchIncr
+		opts.SketchIncrementalSet = true
+	}
 	if req.Strategy != "" {
 		st, err := core.ParseStrategy(req.Strategy)
 		if err != nil {
@@ -574,9 +580,9 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	// prep.RunContext is a pure read over the prepared query and the
 	// database; it needs no lock, so summaries render concurrently too.
-	res, err := prep.RunContext(r.Context(), core.Options{Limit: 9, Seed: 1, SketchCache: s.cache,
-		SketchPersistDir: s.persistDir, SketchMemo: s.memo, SketchIncremental: s.incremental,
-		Catalog: s.cat, Timeout: s.timeout, MemoryBudget: s.memBudget})
+	opts := s.options()
+	opts.Limit = 9
+	res, err := prep.RunContext(r.Context(), opts)
 	if err != nil {
 		s.httpErr(w, r, err)
 		return

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -44,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	first, err := ses.Refresh()
+	first, err := ses.RefreshContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for round := 1; round <= 2; round++ {
-		next, err := ses.Replace()
+		next, err := ses.ReplaceContext(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func main() {
 	// The package-space summary (§3.2).
 	fmt.Println("\n=== package space (top 8 packages, 2 auto-chosen dimensions) ===")
 	prep := ses.Prepared()
-	many, err := prep.Run(core.Options{Limit: 8, Seed: 42})
+	many, err := prep.RunContext(context.Background(), core.Options{Limit: 8, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

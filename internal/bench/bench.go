@@ -1,7 +1,7 @@
 // Package bench is the experiment harness behind cmd/pbench and the
 // root-level Go benchmarks. The 2014 demo paper contains one figure
-// (the interface) and no numeric tables, so — per DESIGN.md §4 — each
-// experiment reproduces one quantitative claim from the paper's text:
+// (the interface) and no numeric tables, so each experiment reproduces
+// one quantitative claim from the paper's text:
 //
 //	F1  §Fig.1  the interface: template, suggestions, 2-D summary
 //	E1  §4.1    cardinality pruning shrinks 2^n to Σ C(n,k), losslessly
@@ -21,11 +21,13 @@
 //	E15 follow-up  certified dual bounds: LP bound-pass overhead + anytime early-exit savings
 //	E16 follow-up  band-aware bound tightening: legacy envelope vs staged pipeline on BETWEEN-heavy queries
 //
-// Each Run* prints an aligned table to cfg.Out; EXPERIMENTS.md records
-// the measured shapes against the paper's claims.
+// Each Run* prints an aligned table to cfg.Out. The tables are
+// regenerated on demand rather than committed; the README's "Scaling
+// guide" quotes the headline shapes.
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -150,6 +152,6 @@ func Run(id string, cfg Config) error {
 // evalTimed runs a query under options and reports elapsed wall time.
 func evalTimed(db *minidb.DB, query string, opts core.Options) (*core.Result, time.Duration, error) {
 	start := time.Now()
-	res, err := core.Evaluate(db, query, opts)
+	res, err := core.EvaluateContext(context.Background(), db, query, opts)
 	return res, time.Since(start), err
 }

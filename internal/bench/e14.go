@@ -44,7 +44,7 @@ func RunE14(cfg Config) error {
 	memo := core.NewFingerprintMemo()
 	opts := core.Options{Strategy: core.SketchRefineStrategy, Seed: cfg.seed(),
 		SketchCache: cache, SketchMemo: memo}
-	prep, err := core.Prepare(db, MealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, MealQuery)
 	if err != nil {
 		return err
 	}
@@ -52,7 +52,7 @@ func RunE14(cfg Config) error {
 	prep.SketchMemo = memo
 	// Warm the partition tree once: the load rows then measure serving
 	// latency, not the offline partitioning step.
-	if _, err := prep.Run(opts); err != nil {
+	if _, err := prep.RunContext(context.Background(), opts); err != nil {
 		return err
 	}
 

@@ -11,6 +11,7 @@ package bench
 //     after fewer branches while still returning a certified interval.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -72,14 +73,14 @@ func runE15Certified(cfg Config, tw interface{ Write([]byte) (int, error) }, n i
 	if err != nil {
 		return err
 	}
-	prep, err := core.Prepare(db, MealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, MealQuery)
 	if err != nil {
 		return err
 	}
 	opts := core.Options{Seed: cfg.seed(), SketchCache: sketch.NewCache(0),
 		SketchMemo: core.NewFingerprintMemo(), Catalog: catalog.New(db)}
 	start := time.Now()
-	res, err := prep.Run(opts)
+	res, err := prep.RunContext(context.Background(), opts)
 	elapsed := time.Since(start)
 	if err != nil {
 		return fmt.Errorf("e15: n=%d certified: %w", n, err)
@@ -138,7 +139,7 @@ func runE15Anytime(cfg Config, tw interface{ Write([]byte) (int, error) }, n int
 	if err != nil {
 		return false, err
 	}
-	prep, err := core.Prepare(db, E15Disjunctive)
+	prep, err := core.PrepareContext(context.Background(), db, E15Disjunctive)
 	if err != nil {
 		return false, err
 	}
@@ -150,7 +151,7 @@ func runE15Anytime(cfg Config, tw interface{ Write([]byte) (int, error) }, n int
 			SketchCache: sketch.NewCache(0), SketchMemo: core.NewFingerprintMemo(),
 			GapTolerance: tol}
 		start := time.Now()
-		res, err := prep.Run(opts)
+		res, err := prep.RunContext(context.Background(), opts)
 		elapsed := time.Since(start)
 		if err != nil {
 			return false, fmt.Errorf("e15: n=%d anytime tol=%g: %w", n, tol, err)

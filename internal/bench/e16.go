@@ -19,6 +19,7 @@ package bench
 //     including the adaptive descent stage).
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -106,7 +107,7 @@ func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n 
 	if err != nil {
 		return err
 	}
-	prep, err := core.Prepare(db, E16Query)
+	prep, err := core.PrepareContext(context.Background(), db, E16Query)
 	if err != nil {
 		return err
 	}
@@ -167,7 +168,7 @@ func runE16Anytime(cfg Config, tw interface{ Write([]byte) (int, error) }, n int
 	if err != nil {
 		return false, err
 	}
-	prep, err := core.Prepare(db, E16Disjunctive)
+	prep, err := core.PrepareContext(context.Background(), db, E16Disjunctive)
 	if err != nil {
 		return false, err
 	}

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"os"
 	"runtime"
 	"slices"
@@ -14,7 +17,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/explore"
+	"repro/internal/lifecycle"
 	"repro/internal/minidb"
+	"repro/internal/prune"
 	"repro/internal/search"
 	"repro/internal/sketch"
 	"repro/internal/template"
@@ -36,11 +41,11 @@ func RunF1(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	ses, err := explore.NewSession(db, MealQuery, core.Options{Seed: cfg.seed()})
+	ses, err := explore.NewSessionContext(context.Background(), db, MealQuery, core.Options{Seed: cfg.seed()})
 	if err != nil {
 		return err
 	}
-	if _, err := ses.Refresh(); err != nil {
+	if _, err := ses.RefreshContext(context.Background()); err != nil {
 		return err
 	}
 	tpl, err := template.FromText(MealQuery)
@@ -60,7 +65,7 @@ func RunF1(cfg Config) error {
 	}
 	// Package space: several packages laid out on two dimensions.
 	prep := ses.Prepared()
-	res, err := prep.Run(core.Options{Limit: 8, Seed: cfg.seed()})
+	res, err := prep.RunContext(context.Background(), core.Options{Limit: 8, Seed: cfg.seed()})
 	if err != nil {
 		return err
 	}
@@ -88,7 +93,7 @@ func RunE1(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		prep, err := core.Prepare(db, MealQuery)
+		prep, err := core.PrepareContext(context.Background(), db, MealQuery)
 		if err != nil {
 			return err
 		}
@@ -111,7 +116,7 @@ func RunE1(cfg Config) error {
 				lossless = false
 			}
 		}
-		sp, full := res2space(prep)
+		sp, full := prune.SpaceSize(len(inst.Rows), inst.Bounds)
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%.1fx\t%d\t%d\t%d\t%v\n",
 			len(inst.Rows), inst.Bounds, full, sp,
 			bigRatio(full, sp), brute.Examined, pruned.Examined,
@@ -120,23 +125,12 @@ func RunE1(cfg Config) error {
 	return tw.Flush()
 }
 
-func res2space(prep *core.Prepared) (pruned, full string) {
-	// reuse prune.SpaceSize through a tiny evaluation
-	res, err := prep.Run(core.Options{Strategy: core.PrunedEnum, Limit: 1})
-	if err != nil || res.Stats.SpaceFull == nil {
-		return "?", "?"
-	}
-	return res.Stats.SpacePruned.String(), res.Stats.SpaceFull.String()
-}
-
-func bigRatio(fullS, prunedS string) float64 {
-	var full, pruned float64
-	fmt.Sscanf(fullS, "%g", &full)
-	fmt.Sscanf(prunedS, "%g", &pruned)
-	if pruned == 0 {
+func bigRatio(full, pruned *big.Int) float64 {
+	if pruned.Sign() == 0 {
 		return math.Inf(1)
 	}
-	return full / pruned
+	r, _ := new(big.Rat).SetFrac(full, pruned).Float64()
+	return r
 }
 
 // RunE2 compares the evaluation strategies across data sizes: brute
@@ -208,7 +202,7 @@ func RunE3(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		prep, err := core.Prepare(db, MealQuery)
+		prep, err := core.PrepareContext(context.Background(), db, MealQuery)
 		if err != nil {
 			return err
 		}
@@ -269,7 +263,7 @@ func RunE4(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	prep, err := core.Prepare(db, MealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, MealQuery)
 	if err != nil {
 		return err
 	}
@@ -360,11 +354,11 @@ func RunE6(cfg Config) error {
 	}
 	// Find a protein demand between "top-5 distinct" and "5 x best", so
 	// repetition visibly changes feasibility.
-	prep, err := core.Prepare(db, `SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 5 MAXIMIZE SUM(P.protein)`)
+	prep, err := core.PrepareContext(context.Background(), db, `SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 5 MAXIMIZE SUM(P.protein)`)
 	if err != nil {
 		return err
 	}
-	best5, err := prep.Run(core.Options{Strategy: core.Solver})
+	best5, err := prep.RunContext(context.Background(), core.Options{Strategy: core.Solver})
 	if err != nil {
 		return err
 	}
@@ -379,7 +373,9 @@ func RunE6(cfg Config) error {
 			q = strings.Replace(q, " REPEAT 0", "", 1)
 		}
 		res, elapsed, err := evalTimed(db, q, core.Options{Strategy: core.Solver, Seed: cfg.seed()})
-		if err != nil {
+		// A proven-infeasible REPEAT level is a row of the table, not a
+		// failed experiment.
+		if err != nil && !errors.Is(err, lifecycle.ErrInfeasible) {
 			return err
 		}
 		if len(res.Packages) == 0 {
@@ -452,12 +448,12 @@ func RunE8(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		prep, err := core.Prepare(db, MealQuery)
+		prep, err := core.PrepareContext(context.Background(), db, MealQuery)
 		if err != nil {
 			return err
 		}
 		exactStart := time.Now()
-		exact, err := prep.Run(core.Options{Strategy: core.Solver, Seed: cfg.seed()})
+		exact, err := prep.RunContext(context.Background(), core.Options{Strategy: core.Solver, Seed: cfg.seed()})
 		exactTime := time.Since(exactStart)
 		if err != nil {
 			return fmt.Errorf("n=%d solver: %w", n, err)
@@ -469,7 +465,7 @@ func RunE8(cfg Config) error {
 		opt := exact.Packages[0].Objective
 		fmt.Fprintf(tw, "%d\tsolver (exact)\t%s\t%.0f\t0.0%%\t1.0x\t-\t-\n", n, ms(exactTime), opt)
 		skStart := time.Now()
-		sk, err := prep.Run(core.Options{Strategy: core.SketchRefineStrategy, Seed: cfg.seed()})
+		sk, err := prep.RunContext(context.Background(), core.Options{Strategy: core.SketchRefineStrategy, Seed: cfg.seed()})
 		skTime := time.Since(skStart)
 		if err != nil {
 			return fmt.Errorf("n=%d sketch: %w", n, err)
@@ -512,7 +508,7 @@ func RunE9(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		prep, err := core.Prepare(db, MealQuery)
+		prep, err := core.PrepareContext(context.Background(), db, MealQuery)
 		if err != nil {
 			return err
 		}
@@ -529,7 +525,7 @@ func RunE9(cfg Config) error {
 		flatObj := math.NaN()
 		for _, v := range variants {
 			start := time.Now()
-			res, err := prep.Run(v.opts)
+			res, err := prep.RunContext(context.Background(), v.opts)
 			elapsed := time.Since(start)
 			if err != nil {
 				return fmt.Errorf("n=%d %s: %w", n, v.name, err)
@@ -594,7 +590,7 @@ func runE10Size(cfg Config, tw io.Writer, n, tau, workers int) error {
 	if err != nil {
 		return err
 	}
-	prep, err := core.Prepare(db, MealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, MealQuery)
 	if err != nil {
 		return err
 	}
@@ -623,7 +619,7 @@ func runE10Size(cfg Config, tw io.Writer, n, tau, workers int) error {
 	var serialMult []int
 	for _, v := range variants {
 		start := time.Now()
-		res, err := prep.Run(v.opts)
+		res, err := prep.RunContext(context.Background(), v.opts)
 		elapsed := time.Since(start)
 		if err != nil {
 			return fmt.Errorf("n=%d %s: %w", n, v.name, err)
@@ -695,7 +691,7 @@ func runE12Point(cfg Config, tw io.Writer, n, tau int, frac float64) error {
 	if err != nil {
 		return err
 	}
-	prep, err := core.Prepare(db, MealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, MealQuery)
 	if err != nil {
 		return err
 	}
@@ -724,7 +720,7 @@ func runE12Point(cfg Config, tw io.Writer, n, tau int, frac float64) error {
 			return err
 		}
 	}
-	prep2, err := core.Prepare(db, MealQuery)
+	prep2, err := core.PrepareContext(context.Background(), db, MealQuery)
 	if err != nil {
 		return err
 	}
@@ -827,17 +823,20 @@ func RunE11(cfg Config) error {
 			return err
 		}
 		for _, q := range E11Queries {
-			prep, err := core.Prepare(db, q.Query)
+			prep, err := core.PrepareContext(context.Background(), db, q.Query)
 			if err != nil {
 				return err
 			}
 			exactStart := time.Now()
-			exact, err := prep.Run(core.Options{Strategy: core.Solver, Seed: cfg.seed(), Timeout: exactBudget})
+			exact, err := prep.RunContext(context.Background(), core.Options{Strategy: core.Solver, Seed: cfg.seed(), Timeout: exactBudget})
 			exactTime := time.Since(exactStart)
-			if err != nil {
+			// Proven infeasible, or the budget expired before any
+			// incumbent: a "(no package)" row, not a failed experiment.
+			noPkg := errors.Is(err, lifecycle.ErrInfeasible) || errors.Is(err, lifecycle.ErrCanceled)
+			if err != nil && !noPkg {
 				return fmt.Errorf("n=%d %s solver: %w", n, q.Name, err)
 			}
-			if len(exact.Packages) == 0 {
+			if noPkg || len(exact.Packages) == 0 {
 				fmt.Fprintf(tw, "%d\t%s\tsolver (exact)\t%s\t(no package)\t-\t-\t-\t-\t-\n", n, q.Name, ms(exactTime))
 				continue
 			}
@@ -849,7 +848,7 @@ func RunE11(cfg Config) error {
 			fmt.Fprintf(tw, "%d\t%s\tsolver (exact)%s\t%s\t%.0f\t0.0%%\t1.0x\t-\t-\t-\n", n, q.Name, proof, ms(exactTime), opt)
 
 			skStart := time.Now()
-			sk, err := prep.Run(core.Options{Strategy: core.SketchRefineStrategy, Seed: cfg.seed(),
+			sk, err := prep.RunContext(context.Background(), core.Options{Strategy: core.SketchRefineStrategy, Seed: cfg.seed(),
 				SketchPartitionSize: tau, SketchDepth: 2})
 			skTime := time.Since(skStart)
 			if err != nil {
@@ -947,7 +946,7 @@ func runE13Point(cfg Config, tw io.Writer, n int, name, query string, writes boo
 			opts = core.Options{Seed: cfg.seed(),
 				SketchCache: cache, SketchMemo: memo, Catalog: catalog.New(db)}
 		}
-		prep, err := core.Prepare(db, query)
+		prep, err := core.PrepareContext(context.Background(), db, query)
 		if err != nil {
 			return err
 		}
@@ -955,18 +954,18 @@ func runE13Point(cfg Config, tw io.Writer, n int, name, query string, writes boo
 			// Warm the tree on the base data, then push a ~1% write batch
 			// through the engine so the timed run sees a stale tree plus
 			// real delta lineage.
-			if _, err := prep.Run(opts); err != nil {
+			if _, err := prep.RunContext(context.Background(), opts); err != nil {
 				return err
 			}
 			if err := e13WriteBatch(db, n, cfg.seed()); err != nil {
 				return err
 			}
-			if prep, err = core.Prepare(db, query); err != nil {
+			if prep, err = core.PrepareContext(context.Background(), db, query); err != nil {
 				return err
 			}
 		}
 		start := time.Now()
-		res, err := prep.Run(opts)
+		res, err := prep.RunContext(context.Background(), opts)
 		elapsed := time.Since(start)
 		if err != nil {
 			return fmt.Errorf("e13: n=%d %s %s: %w", n, name, variant, err)

@@ -100,7 +100,7 @@ func ParseStrategy(name string) (Strategy, error) {
 // Options tunes evaluation.
 type Options struct {
 	Strategy Strategy
-	// Planner overrides the cost-based planner Run consults for
+	// Planner overrides the cost-based planner RunContext consults for
 	// strategy and knob defaults (nil = a planner with the stock cost
 	// model). Explicitly-set options always win over its decisions.
 	Planner *plan.Planner
@@ -110,10 +110,10 @@ type Options struct {
 	Catalog *catalog.Catalog
 	// Limit overrides the query's LIMIT (number of packages).
 	Limit int
-	// Timeout bounds the whole evaluation. Under RunContext it is sugar
-	// for a derived context deadline (plus a short grace) and doubles as
-	// the soft budget the strategies check so best-effort results beat
-	// hard cancellation.
+	// Timeout bounds the whole evaluation. It is sugar for a derived
+	// context deadline (plus a short grace) and doubles as the soft
+	// budget the strategies check so best-effort results beat hard
+	// cancellation.
 	Timeout time.Duration
 	// MemoryBudget, when positive, caps the planner-predicted peak
 	// working set (plan.CostModel.MemoryEstimate) a query may allocate:
@@ -122,25 +122,17 @@ type Options struct {
 	MemoryBudget int64
 	// Seed drives the randomized strategies.
 	Seed int64
-	// Restarts and MaxK tune local search.
+	// Restarts tunes local search.
 	Restarts int
-	MaxK     int
 	// Diverse returns a diverse package set (max-min Jaccard greedy)
 	// instead of the top-k by objective (§5 "diverse package results").
 	Diverse bool
 	// OverFetch multiplies the number of packages gathered before
 	// diverse selection (default 4).
 	OverFetch int
-	// SolverNodes caps branch-and-bound nodes (0 = default).
-	SolverNodes int
 	// NoHybridSeed disables warm-starting the solver with a
 	// local-search incumbent (ablation).
 	NoHybridSeed bool
-	// DisablePruning turns off §4.1 bounds in enumeration (ablation).
-	DisablePruning bool
-	// ComputeSpace fills Stats.SpacePruned/SpaceFull (costs a few
-	// binomials; on by default for n ≤ 4096).
-	ComputeSpace bool
 	// SketchPartitionSize bounds SketchRefine partitions (τ; 0 =
 	// default 64).
 	SketchPartitionSize int
@@ -276,8 +268,8 @@ type Stats struct {
 	// entry per degradation event, in the order they happened.
 	DegradedReasons []string
 	// Plan is the cost-based planner's decision trail for this
-	// evaluation (strategy, knobs, costs, reasons). Always set by Run;
-	// EXPLAIN surfaces render it.
+	// evaluation (strategy, knobs, costs, reasons). Always set by
+	// RunContext; EXPLAIN surfaces render it.
 	Plan *plan.Plan
 }
 
@@ -297,42 +289,28 @@ type Prepared struct {
 	Analysis *paql.Analysis
 	Table    *minidb.Table
 	Instance *search.Instance
-	// SketchCache is the default partition-tree cache for Run when the
-	// options carry none (System.Prepare points it at the engine-level
-	// shared cache, so repeated prep.Run calls skip re-partitioning).
+	// SketchCache is the default partition-tree cache for RunContext
+	// when the options carry none (System.Prepare points it at the
+	// engine-level shared cache, so repeated runs skip re-partitioning).
 	SketchCache *sketch.Cache
-	// SketchMemo is the default fingerprint memo for Run when the
+	// SketchMemo is the default fingerprint memo for RunContext when the
 	// options carry none (System.Prepare points it at the engine-level
-	// shared memo, so repeated prep.Run calls skip candidate rehashing).
+	// shared memo, so repeated runs skip candidate rehashing).
 	SketchMemo *FingerprintMemo
-	// TableVersion is the table's write version at Prepare time; the
+	// TableVersion is the table's write version at prepare time; the
 	// fingerprint memo keys its candidate snapshot on it.
 	TableVersion uint64
 }
 
-// Prepare parses, folds sub-queries, analyzes, and computes candidates.
-func Prepare(db *minidb.DB, queryText string) (*Prepared, error) {
-	return PrepareContext(context.Background(), db, queryText)
-}
-
-// PrepareContext is Prepare under a context: the candidate scan — the
-// only phase linear in the table — checks for cancellation periodically
-// and returns lifecycle.ErrCanceled instead of finishing the scan.
+// PrepareContext parses, folds sub-queries, analyzes, and computes
+// candidates. The candidate scan — the only phase linear in the table —
+// checks ctx periodically and returns lifecycle.ErrCanceled instead of
+// finishing the scan.
 func PrepareContext(ctx context.Context, db *minidb.DB, queryText string) (*Prepared, error) {
 	q, err := paql.Parse(queryText)
 	if err != nil {
 		return nil, err
 	}
-	return PrepareQueryContext(ctx, db, q)
-}
-
-// PrepareQuery is Prepare for an already-parsed query.
-func PrepareQuery(db *minidb.DB, q *paql.Query) (*Prepared, error) {
-	return PrepareQueryContext(context.Background(), db, q)
-}
-
-// PrepareQueryContext is PrepareContext for an already-parsed query.
-func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Prepared, error) {
 	table, ok := db.Table(q.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: relation %q does not exist", q.Table)
@@ -410,15 +388,6 @@ func foldSubqueries(db *minidb.DB, q *paql.Query) error {
 		q.Objective.Expr = fold(q.Objective.Expr)
 	}
 	return firstErr
-}
-
-// Evaluate runs a PaQL query end to end (legacy contract; see Run).
-func Evaluate(db *minidb.DB, queryText string, opts Options) (*Result, error) {
-	prep, err := Prepare(db, queryText)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Run(opts)
 }
 
 // EvaluateContext runs a PaQL query end to end under a context, with

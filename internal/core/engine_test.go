@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/lifecycle"
 	"repro/internal/minidb"
 	"repro/internal/value"
 )
@@ -45,7 +48,7 @@ func TestStrategiesAgreeOnOptimum(t *testing.T) {
 	db := testDB(t)
 	var exact float64
 	for i, strat := range []Strategy{Solver, PrunedEnum, BruteForceStrategy} {
-		res, err := Evaluate(db, mealQuery, Options{Strategy: strat})
+		res, err := EvaluateContext(context.Background(), db, mealQuery, Options{Strategy: strat})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -65,7 +68,7 @@ func TestStrategiesAgreeOnOptimum(t *testing.T) {
 		}
 	}
 	// Local search never beats exact.
-	res, err := Evaluate(db, mealQuery, Options{Strategy: LocalSearchStrategy, Restarts: 6, Seed: 2})
+	res, err := EvaluateContext(context.Background(), db, mealQuery, Options{Strategy: LocalSearchStrategy, Restarts: 6, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func TestStrategiesAgreeOnOptimum(t *testing.T) {
 
 func TestAutoChoosesSolverForLinear(t *testing.T) {
 	db := testDB(t)
-	res, err := Evaluate(db, mealQuery, Options{})
+	res, err := EvaluateContext(context.Background(), db, mealQuery, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestAutoFallsBackForNonlinear(t *testing.T) {
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 2 AND SUM(P.calories) * SUM(P.protein) <= 50000
 		MAXIMIZE SUM(P.protein)`
-	res, err := Evaluate(db, q, Options{})
+	res, err := EvaluateContext(context.Background(), db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,7 @@ func TestSolverRequestedForNonlinearFallsBack(t *testing.T) {
 	q := `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 2 AND SUM(P.calories) * SUM(P.protein) <= 50000`
-	res, err := Evaluate(db, q, Options{Strategy: Solver})
+	res, err := EvaluateContext(context.Background(), db, q, Options{Strategy: Solver})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestSolverRequestedForNonlinearFallsBack(t *testing.T) {
 func TestMultiplePackagesViaExclusionCuts(t *testing.T) {
 	db := testDB(t)
 	q := strings.Replace(mealQuery, "MAXIMIZE SUM(P.protein)", "MAXIMIZE SUM(P.protein)\nLIMIT 4", 1)
-	res, err := Evaluate(db, q, Options{Strategy: Solver})
+	res, err := EvaluateContext(context.Background(), db, q, Options{Strategy: Solver})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +188,11 @@ func TestDiverseSelection(t *testing.T) {
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 900 AND 2000
 		MAXIMIZE SUM(P.protein) LIMIT 3`
-	topk, err := Evaluate(db, q, Options{Strategy: Solver})
+	topk, err := EvaluateContext(context.Background(), db, q, Options{Strategy: Solver})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diverse, err := Evaluate(db, q, Options{Strategy: Solver, Diverse: true, OverFetch: 6})
+	diverse, err := EvaluateContext(context.Background(), db, q, Options{Strategy: Solver, Diverse: true, OverFetch: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +217,7 @@ func TestSubqueryFolding(t *testing.T) {
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 2 AND SUM(P.calories) <= (SELECT MAX(calories) FROM recipes)
 		MAXIMIZE SUM(P.protein)`
-	res, err := Evaluate(db, q, Options{})
+	res, err := EvaluateContext(context.Background(), db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +229,7 @@ func TestSubqueryFolding(t *testing.T) {
 		t.Errorf("folded bound violated: %g > 800", cal)
 	}
 	// failing subquery surfaces
-	if _, err := Evaluate(db, `
+	if _, err := EvaluateContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = (SELECT id FROM recipes)`, Options{}); err == nil {
 		t.Error("multi-row subquery should fail")
@@ -238,9 +241,9 @@ func TestInfeasibleQueryReturnsEmpty(t *testing.T) {
 	q := `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 2 AND COUNT(*) = 5`
-	res, err := Evaluate(db, q, Options{})
-	if err != nil {
-		t.Fatal(err)
+	res, err := EvaluateContext(context.Background(), db, q, Options{})
+	if !errors.Is(err, lifecycle.ErrInfeasible) {
+		t.Fatalf("contradictory bounds = %v, want ErrInfeasible", err)
 	}
 	if len(res.Packages) != 0 || !res.Stats.Exact {
 		t.Errorf("infeasible query: %d packages, exact=%v", len(res.Packages), res.Stats.Exact)
@@ -257,7 +260,7 @@ func TestRepeatQueryThroughEngine(t *testing.T) {
 		WHERE R.gluten = 'free'
 		SUCH THAT COUNT(*) = 3 AND SUM(P.protein) >= 130
 		MAXIMIZE SUM(P.protein)`
-	res, err := Evaluate(db, q, Options{})
+	res, err := EvaluateContext(context.Background(), db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +284,7 @@ func TestRepeatQueryThroughEngine(t *testing.T) {
 
 func TestBaseConstraintsFilterCandidates(t *testing.T) {
 	db := testDB(t)
-	res, err := Evaluate(db, mealQuery, Options{})
+	res, err := EvaluateContext(context.Background(), db, mealQuery, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +300,7 @@ func TestBaseConstraintsFilterCandidates(t *testing.T) {
 
 func TestStatsSpaceAndAggValues(t *testing.T) {
 	db := testDB(t)
-	res, err := Evaluate(db, mealQuery, Options{})
+	res, err := EvaluateContext(context.Background(), db, mealQuery, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,13 +321,13 @@ func TestStatsSpaceAndAggValues(t *testing.T) {
 
 func TestErrorPaths(t *testing.T) {
 	db := testDB(t)
-	if _, err := Evaluate(db, `SELECT PACKAGE(R) AS P FROM nope R`, Options{}); err == nil {
+	if _, err := EvaluateContext(context.Background(), db, `SELECT PACKAGE(R) AS P FROM nope R`, Options{}); err == nil {
 		t.Error("unknown relation should fail")
 	}
-	if _, err := Evaluate(db, `garbage`, Options{}); err == nil {
+	if _, err := EvaluateContext(context.Background(), db, `garbage`, Options{}); err == nil {
 		t.Error("parse error should surface")
 	}
-	if _, err := Evaluate(db, `
+	if _, err := EvaluateContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT SUM(P.nope) <= 3`, Options{}); err == nil {
 		t.Error("unknown column should fail")
@@ -372,11 +375,11 @@ func TestDiverseSelectHelpers(t *testing.T) {
 
 func TestHybridSeedAblation(t *testing.T) {
 	db := testDB(t)
-	with, err := Evaluate(db, mealQuery, Options{Strategy: Solver})
+	with, err := EvaluateContext(context.Background(), db, mealQuery, Options{Strategy: Solver})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Evaluate(db, mealQuery, Options{Strategy: Solver, NoHybridSeed: true})
+	without, err := EvaluateContext(context.Background(), db, mealQuery, Options{Strategy: Solver, NoHybridSeed: true})
 	if err != nil {
 		t.Fatal(err)
 	}

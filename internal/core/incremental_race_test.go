@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -40,11 +41,11 @@ func TestConcurrentInvalidationRacingDeltaPatch(t *testing.T) {
 	memo := NewFingerprintMemo()
 	opts := incrOptions(cache, memo)
 
-	prevPrep, err := Prepare(db, incrQuery)
+	prevPrep, err := PrepareContext(context.Background(), db, incrQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prevPrep.Run(opts); err != nil {
+	if _, err := prevPrep.RunContext(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,7 +69,7 @@ func TestConcurrentInvalidationRacingDeltaPatch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		curPrep, err := Prepare(db, incrQuery)
+		curPrep, err := PrepareContext(context.Background(), db, incrQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +84,11 @@ func TestConcurrentInvalidationRacingDeltaPatch(t *testing.T) {
 			wg.Add(2)
 			go func(i int) {
 				defer wg.Done()
-				_, errs[i] = prevPrep.Run(opts)
+				_, errs[i] = prevPrep.RunContext(context.Background(), opts)
 			}(i)
 			go func(i int) {
 				defer wg.Done()
-				fresh[i], errs[2+i] = curPrep.Run(opts)
+				fresh[i], errs[2+i] = curPrep.RunContext(context.Background(), opts)
 			}(i)
 		}
 		wg.Wait()
@@ -100,7 +101,7 @@ func TestConcurrentInvalidationRacingDeltaPatch(t *testing.T) {
 		// The warm run after the storm must serve the tree published
 		// under the *current* fingerprint and reproduce a fresh solve's
 		// answer exactly.
-		warm, err := curPrep.Run(opts)
+		warm, err := curPrep.RunContext(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("gen %d warm verify: %v", gen, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -42,11 +43,11 @@ func TestWarmEvaluationHashesNothing(t *testing.T) {
 
 	run := func() *Result {
 		t.Helper()
-		prep, err := Prepare(db, incrQuery)
+		prep, err := PrepareContext(context.Background(), db, incrQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := prep.Run(opts)
+		res, err := prep.RunContext(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +86,11 @@ func TestIncrementalInsertPatchesTree(t *testing.T) {
 	memo := NewFingerprintMemo()
 	opts := incrOptions(cache, memo)
 
-	prep, err := Prepare(db, incrQuery)
+	prep, err := PrepareContext(context.Background(), db, incrQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Run(opts); err != nil {
+	if _, err := prep.RunContext(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 	before := memo.Stats()
@@ -102,11 +103,11 @@ func TestIncrementalInsertPatchesTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prep2, err := Prepare(db, incrQuery)
+	prep2, err := PrepareContext(context.Background(), db, incrQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep2.Run(opts)
+	res, err := prep2.RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,11 @@ func TestIncrementalDeletePatchesTree(t *testing.T) {
 	memo := NewFingerprintMemo()
 	opts := incrOptions(cache, memo)
 
-	prep, err := Prepare(db, incrQuery)
+	prep, err := PrepareContext(context.Background(), db, incrQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := prep.Run(opts)
+	cold, err := prep.RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestIncrementalDeletePatchesTree(t *testing.T) {
 	if res0.Affected == 0 {
 		t.Fatal("delete removed nothing; fixture broken")
 	}
-	prep2, err := Prepare(db, incrQuery)
+	prep2, err := PrepareContext(context.Background(), db, incrQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestIncrementalDeletePatchesTree(t *testing.T) {
 	if removed <= 0 {
 		t.Fatalf("delete removed no candidates (%d -> %d)", cold.Stats.Candidates, len(prep2.Instance.Rows))
 	}
-	res, err := prep2.Run(opts)
+	res, err := prep2.RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +188,11 @@ func TestIncrementalDeletePatchesTree(t *testing.T) {
 		t.Fatal("no package after the delete")
 	}
 	// And the next evaluation over the patched state is warm again.
-	prep3, err := Prepare(db, incrQuery)
+	prep3, err := PrepareContext(context.Background(), db, incrQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := prep3.Run(opts)
+	warm, err := prep3.RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,21 +220,21 @@ func TestIncrementalDisabledRebuilds(t *testing.T) {
 	opts.SketchIncremental = false
 	opts.SketchIncrementalSet = true
 
-	prep, err := Prepare(db, incrQuery)
+	prep, err := PrepareContext(context.Background(), db, incrQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Run(opts); err != nil {
+	if _, err := prep.RunContext(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec("INSERT INTO recipes VALUES (80000, 'x', 'fusion', 'dinner', 'free', 700, 30, 10, 50, 9.5, 4.5)"); err != nil {
 		t.Fatal(err)
 	}
-	prep2, err := Prepare(db, incrQuery)
+	prep2, err := PrepareContext(context.Background(), db, incrQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep2.Run(opts)
+	res, err := prep2.RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

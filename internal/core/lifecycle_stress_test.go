@@ -36,7 +36,7 @@ func settleGoroutines(baseline int) int {
 // plumbing doesn't data-race with the solver's own parallelism.
 func TestCancellationStress(t *testing.T) {
 	db := lcDB(t, 20000)
-	prep, err := Prepare(db, lcQuery)
+	prep, err := PrepareContext(context.Background(), db, lcQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCancellationStress(t *testing.T) {
 // and a follow-up uncanceled solve rebuilds cleanly.
 func TestCanceledBuildLeavesCacheConsistent(t *testing.T) {
 	db := lcDB(t, 50000)
-	prep, err := Prepare(db, lcQuery)
+	prep, err := PrepareContext(context.Background(), db, lcQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCanceled1MReturnsPromptly(t *testing.T) {
 		t.Skip("1M-row dataset build in -short mode")
 	}
 	db := lcDB(t, 1000000)
-	prep, err := Prepare(db, lcQuery)
+	prep, err := PrepareContext(context.Background(), db, lcQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ const lcQuery = `
 
 func TestRunContextCanceledBeforeStart(t *testing.T) {
 	db := lcDB(t, 100)
-	prep, err := Prepare(db, lcQuery)
+	prep, err := PrepareContext(context.Background(), db, lcQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPrepareContextCanceled(t *testing.T) {
 func TestRunContextInfeasibleTyped(t *testing.T) {
 	db := lcDB(t, 30)
 	// Contradictory cardinality bounds: provably no package.
-	prep, err := Prepare(db, `
+	prep, err := PrepareContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) >= 5 AND COUNT(*) <= 2`)
 	if err != nil {
@@ -74,17 +74,12 @@ func TestRunContextInfeasibleTyped(t *testing.T) {
 	if res == nil || res.Stats.Plan == nil {
 		t.Fatal("infeasible result should still carry the plan for diagnostics")
 	}
-	// The legacy surface keeps its answer-not-error contract.
-	lres, err := prep.Run(Options{})
-	if err != nil || lres == nil || len(lres.Packages) != 0 {
-		t.Fatalf("legacy Run: res=%v err=%v, want empty result and nil error", lres, err)
-	}
 
 	// An exact strategy completing empty is also provably infeasible.
 	// Calories are integer-valued, so a fractional SUM target has no
 	// solution — but the cardinality bounds cannot see that, so the
 	// verdict must come from the solver itself.
-	prep2, err := Prepare(db, `
+	prep2, err := PrepareContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 2 AND SUM(P.calories) = 1000.5`)
 	if err != nil {
@@ -104,7 +99,7 @@ func TestRunContextHeuristicEmptyIsNotInfeasible(t *testing.T) {
 	// Unsatisfiable (integer calories, fractional target), but
 	// sketch-refine cannot prove it: the contract keeps this an answer
 	// (no packages, note) rather than a verdict.
-	prep, err := Prepare(db, `
+	prep, err := PrepareContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 2 AND SUM(P.calories) = 1000.5`)
 	if err != nil {
@@ -121,7 +116,7 @@ func TestRunContextHeuristicEmptyIsNotInfeasible(t *testing.T) {
 
 func TestRunContextMemoryBudget(t *testing.T) {
 	db := lcDB(t, 200)
-	prep, err := Prepare(db, lcQuery)
+	prep, err := PrepareContext(context.Background(), db, lcQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +136,11 @@ func TestRunContextMemoryBudget(t *testing.T) {
 	if res.Stats.MemoryEstimate <= 0 || res.Stats.MemoryEstimate >= 1<<30 {
 		t.Fatalf("estimate = %d", res.Stats.MemoryEstimate)
 	}
-	// The legacy surface enforces the (new) knob too — it predates only
-	// the cancellation and infeasibility parts of the taxonomy.
-	if _, err := prep.Run(Options{MemoryBudget: 1}); !errors.Is(err, lifecycle.ErrBudgetExceeded) {
-		t.Fatalf("legacy Run with budget = %v, want ErrBudgetExceeded", err)
-	}
 }
 
 func TestRunContextDeadlineKeepsPackages(t *testing.T) {
 	db := lcDB(t, 100)
-	prep, err := Prepare(db, lcQuery)
+	prep, err := PrepareContext(context.Background(), db, lcQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,17 +95,7 @@ func (p *Prepared) forcedKnobs(opts Options) plan.Forced {
 // a memoized fingerprint the probe would cost an O(n) hash, which a
 // plan must never do.
 func (p *Prepared) cacheProbe(opts Options) func(tau, depth int) plan.CacheState {
-	cache := opts.SketchCache
-	if cache == nil {
-		cache = p.SketchCache
-	}
-	if opts.SketchNoCache {
-		cache = nil
-	}
-	memo := opts.SketchMemo
-	if memo == nil {
-		memo = p.SketchMemo
-	}
+	cache, memo := p.sketchTiers(opts)
 	if memo == nil || (cache == nil && opts.SketchPersistDir == "") {
 		return nil
 	}
@@ -167,6 +157,23 @@ func (p *Prepared) cacheProbe(opts Options) func(tau, depth int) plan.CacheState
 		}
 		return probe(tau, depth)
 	}
+}
+
+// sketchTiers resolves the partition-tree cache and fingerprint memo
+// an evaluation uses: the options' own, else the Prepared's defaults.
+// SketchNoCache drops the cache tier only.
+func (p *Prepared) sketchTiers(opts Options) (*sketch.Cache, *FingerprintMemo) {
+	cache, memo := opts.SketchCache, opts.SketchMemo
+	if cache == nil {
+		cache = p.SketchCache
+	}
+	if opts.SketchNoCache {
+		cache = nil
+	}
+	if memo == nil {
+		memo = p.SketchMemo
+	}
+	return cache, memo
 }
 
 // applyPlan maps a plan onto the options: the strategy when the user

@@ -28,30 +28,10 @@ import (
 // hard cancellation is the backstop for any path that ignores them.
 const timeoutGrace = 250 * time.Millisecond
 
-// Run evaluates the prepared query under the given options. Strategy
+// RunContext evaluates the prepared query under a context. Strategy
 // and sketch-knob defaults come from the cost-based planner
-// (internal/plan); explicitly-set options always win. The thresholds
-// that used to live here as autoThreshold (22) and sketchAutoThreshold
-// (4096) are plan.DefaultCostModel's ExactEnumMax and SketchThreshold
-// now.
-//
-// Run is the legacy surface: it evaluates under context.Background()
-// and keeps the original no-typed-errors contract — a provably
-// infeasible query returns an empty Result with explanatory notes and a
-// nil error. New callers should use RunContext, which distinguishes
-// infeasible, canceled, and over-budget outcomes as errors.Is-able
-// lifecycle errors.
-func (p *Prepared) Run(opts Options) (*Result, error) {
-	res, err := p.run(context.Background(), opts)
-	if err != nil && errors.Is(err, lifecycle.ErrInfeasible) {
-		// Legacy contract: infeasibility is an answer, not an error.
-		return res, nil
-	}
-	return res, err
-}
-
-// RunContext evaluates the prepared query under a context. The context
-// is checked cooperatively throughout — candidate scans, enumeration,
+// (internal/plan); explicitly-set options always win. The context is
+// checked cooperatively throughout — candidate scans, enumeration,
 // every MILP branch-and-bound node and simplex iteration, partition
 // builds, sketch descents, and refine waves — so cancellation returns
 // promptly even mid-solve over millions of candidates, with partial
@@ -71,12 +51,22 @@ func (p *Prepared) Run(opts Options) (*Result, error) {
 //     cancellation as the backstop.
 //   - lifecycle.ErrBudgetExceeded: the planner's predicted working set
 //     exceeds Options.MemoryBudget; nothing was executed.
+//   - lifecycle.ErrInternal: a panic anywhere in the solve, recovered.
 //
 // Options.Timeout is sugar for a derived context deadline: RunContext
 // bounds the context at Timeout plus a short grace and passes Timeout
 // down as the soft budget; symmetrically, a context deadline with no
 // Timeout set becomes the soft budget.
-func (p *Prepared) RunContext(ctx context.Context, opts Options) (*Result, error) {
+func (p *Prepared) RunContext(ctx context.Context, opts Options) (res *Result, err error) {
+	// Last rung of the degradation ladder: a panic anywhere in the
+	// solve becomes a typed lifecycle.ErrInternal instead of killing
+	// the process, so admission slots drain and the caller sees one
+	// failed query, not a crashed server.
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, lifecycle.Internal(fmt.Errorf("panic: %v", r))
+		}
+	}()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -90,22 +80,6 @@ func (p *Prepared) RunContext(ctx context.Context, opts Options) (*Result, error
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout+timeoutGrace)
 		defer cancel()
 	}
-	return p.run(ctx, opts)
-}
-
-// run is the shared evaluation body behind Run and RunContext. It
-// returns typed lifecycle errors; the legacy wrapper downgrades the
-// ones its contract predates.
-func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err error) {
-	// Last rung of the degradation ladder: a panic anywhere in the
-	// solve becomes a typed lifecycle.ErrInternal instead of killing
-	// the process, so admission slots drain and the caller sees one
-	// failed query, not a crashed server.
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, lifecycle.Internal(fmt.Errorf("panic: %v", r))
-		}
-	}()
 	if ferr := fault.Check("core.solve"); ferr != nil {
 		return nil, lifecycle.Internal(ferr)
 	}
@@ -131,7 +105,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	if opts.Planner != nil {
 		cost = opts.Planner.Cost
 	}
-	if opts.ComputeSpace || len(inst.Rows) <= cost.SketchThreshold {
+	if len(inst.Rows) <= cost.SketchThreshold {
 		pr, full := prune.SpaceSize(len(inst.Rows), inst.Bounds)
 		res.Stats.SpacePruned, res.Stats.SpaceFull = pr, full
 	}
@@ -273,7 +247,7 @@ func (p *Prepared) runEnum(ctx context.Context, res *Result, opts Options, fetch
 		Limit:          fetch,
 		Timeout:        opts.Timeout,
 		Seed:           opts.Seed,
-		DisablePruning: opts.DisablePruning || brute,
+		DisablePruning: brute,
 		Require:        opts.Require,
 	}
 	var sres *search.Result
@@ -305,7 +279,6 @@ func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, fetc
 		Timeout:  opts.Timeout,
 		Seed:     opts.Seed,
 		Restarts: opts.Restarts,
-		MaxK:     opts.MaxK,
 		Require:  opts.Require,
 	})
 	if err != nil {
@@ -325,45 +298,13 @@ func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, fetc
 
 func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fetch int) ([][]int, error) {
 	start := time.Now()
-	cache := opts.SketchCache
-	if cache == nil {
-		cache = p.SketchCache
-	}
-	if opts.SketchNoCache {
-		cache = nil
-	}
+	cache, memo := p.sketchTiers(opts)
 	if cache == nil && fetch > 1 && p.Instance.MaxMult == 1 {
 		// Evaluation-scoped cache: the exclusion-cut re-solves below
 		// reuse the partition tree instead of re-partitioning per
 		// package. Never leaks across queries, so SketchNoCache's
 		// isolation promise holds.
 		cache = sketch.NewCache(2)
-	}
-	// Fingerprint memo: resolve the candidate fingerprint incrementally
-	// (zero hashing on an unchanged table, delta-only after writes) and,
-	// with SketchIncremental, pick up the lineage that lets a stale
-	// cached tree be patched in place instead of rebuilt.
-	memo := opts.SketchMemo
-	if memo == nil {
-		memo = p.SketchMemo
-	}
-	var fpPtr *uint64
-	var patch *sketch.PatchSpec
-	if memo != nil {
-		fp, pspec := memo.Advance(p)
-		fpPtr = &fp
-		if opts.SketchIncremental {
-			patch = pspec
-		}
-	}
-	// Options.Timeout bounds the whole evaluation: the re-solves below
-	// run on whatever budget the earlier solves left over.
-	remaining := func() (time.Duration, bool) {
-		if opts.Timeout <= 0 {
-			return 0, true
-		}
-		left := opts.Timeout - time.Since(start)
-		return left, left > 0
 	}
 	// The planner's bound decision names the pipeline stage to run;
 	// non-sketch values (milp-dual, none) fall through to "" = the
@@ -375,23 +316,41 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 			boundMode = res.Stats.Plan.Bound
 		}
 	}
-	sres, err := sketch.Solve(p.Instance, sketch.Options{
+	sopts := sketch.Options{
 		Ctx:              ctx,
 		MaxPartitionSize: opts.SketchPartitionSize,
 		NumPartitions:    opts.SketchPartitions,
 		Depth:            opts.SketchDepth,
 		Seed:             opts.Seed,
 		Timeout:          opts.Timeout,
-		SolverNodes:      opts.SolverNodes,
 		Cache:            cache,
 		Require:          opts.Require,
 		Parallelism:      opts.SketchParallelism,
 		PersistDir:       opts.SketchPersistDir,
-		Fingerprint:      fpPtr,
-		Patch:            patch,
 		GapTolerance:     opts.GapTolerance,
 		BoundMode:        boundMode,
-	})
+	}
+	// Fingerprint memo: resolve the candidate fingerprint incrementally
+	// (zero hashing on an unchanged table, delta-only after writes) and,
+	// with SketchIncremental, pick up the lineage that lets a stale
+	// cached tree be patched in place instead of rebuilt.
+	if memo != nil {
+		fp, pspec := memo.Advance(p)
+		sopts.Fingerprint = &fp
+		if opts.SketchIncremental {
+			sopts.Patch = pspec
+		}
+	}
+	// Options.Timeout bounds the whole evaluation: the re-solves below
+	// run on whatever budget the earlier solves left over.
+	remaining := func() (time.Duration, bool) {
+		if opts.Timeout <= 0 {
+			return 0, true
+		}
+		left := opts.Timeout - time.Since(start)
+		return left, left > 0
+	}
+	sres, err := sketch.Solve(p.Instance, sopts)
 	if err != nil {
 		return nil, err
 	}
@@ -448,29 +407,21 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 		// space — the cached partition tree is reused, so each extra
 		// package costs one sketch+refine pass, no re-partitioning.
 		if p.Instance.MaxMult == 1 {
-			exclude := [][]int{sres.Mult}
+			// Re-solves keep every knob of the first solve, the
+			// planner's bound stage included; only the exclusion list
+			// and the leftover budget change. The anytime tolerance
+			// stays off: a re-solve's bound is never reported.
+			cut := sopts
+			cut.GapTolerance = 0
+			cut.Exclude = [][]int{sres.Mult}
 			for len(mults) < fetch {
 				left, ok := remaining()
 				if !ok {
 					res.Stats.Notes = append(res.Stats.Notes, "sketch-refine: timeout reached before all requested packages")
 					break
 				}
-				alt, err := sketch.Solve(p.Instance, sketch.Options{
-					Ctx:              ctx,
-					MaxPartitionSize: opts.SketchPartitionSize,
-					NumPartitions:    opts.SketchPartitions,
-					Depth:            opts.SketchDepth,
-					Seed:             opts.Seed,
-					Timeout:          left,
-					SolverNodes:      opts.SolverNodes,
-					Cache:            cache,
-					Require:          opts.Require,
-					Exclude:          exclude,
-					Parallelism:      opts.SketchParallelism,
-					PersistDir:       opts.SketchPersistDir,
-					Fingerprint:      fpPtr,
-					Patch:            patch,
-				})
+				cut.Timeout = left
+				alt, err := sketch.Solve(p.Instance, cut)
 				if err != nil {
 					res.Stats.Notes = append(res.Stats.Notes,
 						fmt.Sprintf("sketch-refine: exclusion-cut solve failed: %v", err))
@@ -482,7 +433,7 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 				res.Stats.Nodes += alt.Nodes
 				res.Stats.LPIters += alt.LPIters
 				mults = append(mults, alt.Mult)
-				exclude = append(exclude, alt.Mult)
+				cut.Exclude = append(cut.Exclude, alt.Mult)
 			}
 			res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf(
 				"sketch-refine: %d of %d requested packages via exclusion cuts in sketch space",
@@ -492,10 +443,19 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 			// perturb the partition size and seed instead — moving τ
 			// moves every partition boundary, so the sketch lands
 			// elsewhere.
-			baseTau := sketch.Options{
-				MaxPartitionSize: opts.SketchPartitionSize,
-				NumPartitions:    opts.SketchPartitions,
-			}.EffectiveTau(len(p.Instance.Rows))
+			//
+			// No cache and no persistence: each perturbed (τ, seed) pair
+			// is near single-use — it would evict hot trees from the
+			// shared LRU and litter the store with files no later run
+			// asks for.
+			perturbed := sopts
+			perturbed.GapTolerance = 0
+			perturbed.NumPartitions = 0
+			perturbed.Cache = nil
+			perturbed.PersistDir = ""
+			perturbed.Fingerprint = nil
+			perturbed.Patch = nil
+			baseTau := sopts.EffectiveTau(len(p.Instance.Rows))
 			seen := map[string]bool{MultKey(sres.Mult): true}
 			for attempt := int64(1); len(mults) < fetch && attempt <= 2*int64(fetch); attempt++ {
 				left, ok := remaining()
@@ -503,20 +463,10 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 					res.Stats.Notes = append(res.Stats.Notes, "sketch-refine: timeout reached before all requested packages")
 					break
 				}
-				// No cache and no persistence: each perturbed (τ, seed)
-				// pair is near single-use — it would evict hot trees
-				// from the shared LRU and litter the store with files
-				// no later run asks for.
-				alt, err := sketch.Solve(p.Instance, sketch.Options{
-					Ctx:              ctx,
-					MaxPartitionSize: baseTau + int(attempt),
-					Depth:            opts.SketchDepth,
-					Seed:             opts.Seed + attempt,
-					Timeout:          left,
-					SolverNodes:      opts.SolverNodes,
-					Require:          opts.Require,
-					Parallelism:      opts.SketchParallelism,
-				})
+				perturbed.MaxPartitionSize = baseTau + int(attempt)
+				perturbed.Seed = opts.Seed + attempt
+				perturbed.Timeout = left
+				alt, err := sketch.Solve(p.Instance, perturbed)
 				if err != nil {
 					// Deterministic errors would repeat across attempts;
 					// stop instead of re-partitioning 2*fetch times.
@@ -614,7 +564,7 @@ func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, fet
 			return nil, err
 		}
 	}
-	mopts := milp.Options{MaxNodes: opts.SolverNodes, TimeLimit: opts.Timeout, Ctx: ctx}
+	mopts := milp.Options{TimeLimit: opts.Timeout, Ctx: ctx}
 	// Hybrid warm start: hand the solver a local-search incumbent so
 	// bound pruning bites immediately. Only valid when the model has no
 	// indicator variables (their values are not part of a package).

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/minidb"
 	"repro/internal/plan"
+	"repro/internal/sketch"
 )
 
 func TestStrategyString(t *testing.T) {
@@ -31,7 +33,7 @@ func TestAutoPicksLocalSearchForLargeNonlinear(t *testing.T) {
 	}
 	// A non-linear constraint over far more candidates than the exact
 	// enumeration threshold: Auto must fall back to local search.
-	res, err := Evaluate(db, `
+	res, err := EvaluateContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) * SUM(P.protein) >= 100000
 		      AND SUM(P.calories) <= 3000
@@ -59,7 +61,7 @@ func TestTimeoutIsRespected(t *testing.T) {
 	}
 	// A brute-force run with a tiny budget must return promptly and be
 	// flagged inexact.
-	res, err := Evaluate(db, `
+	res, err := EvaluateContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 500 AND 5000
 		MAXIMIZE SUM(P.protein)`, Options{Strategy: BruteForceStrategy, Timeout: 1})
@@ -102,7 +104,7 @@ func TestSketchStrategyThroughEngine(t *testing.T) {
 	q := `SELECT PACKAGE(R) AS P FROM recipes R
 	      SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
 	      MAXIMIZE SUM(P.protein)`
-	res, err := Evaluate(db, q, Options{Strategy: SketchRefineStrategy, Seed: 1, SketchPartitionSize: 16})
+	res, err := EvaluateContext(context.Background(), db, q, Options{Strategy: SketchRefineStrategy, Seed: 1, SketchPartitionSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestSketchStrategyThroughEngine(t *testing.T) {
 	if len(res.Packages) != 1 {
 		t.Fatalf("got %d packages", len(res.Packages))
 	}
-	exact, err := Evaluate(db, q, Options{Strategy: Solver, Seed: 1})
+	exact, err := EvaluateContext(context.Background(), db, q, Options{Strategy: Solver, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestAutoSelectsSketchAboveThreshold(t *testing.T) {
 	q := `SELECT PACKAGE(R) AS P FROM recipes R
 	      SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
 	      MAXIMIZE SUM(P.protein)`
-	res, err := Evaluate(db, q, Options{Seed: 1})
+	res, err := EvaluateContext(context.Background(), db, q, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestAutoSelectsSketchAboveThreshold(t *testing.T) {
 	}
 	// Require pins stay on the sketch path: the pinned tuple's leaf
 	// partition is forced into every sketch level.
-	pinned, err := Evaluate(db, q, Options{Seed: 1, Strategy: SketchRefineStrategy, Require: []int{0}})
+	pinned, err := EvaluateContext(context.Background(), db, q, Options{Seed: 1, Strategy: SketchRefineStrategy, Require: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +178,7 @@ func TestSketchMultiplePackages(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 300, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(db, `SELECT PACKAGE(R) AS P FROM recipes R
+	res, err := EvaluateContext(context.Background(), db, `SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
 		MAXIMIZE SUM(P.protein)`,
 		Options{Strategy: SketchRefineStrategy, Seed: 1, Limit: 3, SketchPartitionSize: 16})
@@ -199,6 +201,68 @@ func TestSketchMultiplePackages(t *testing.T) {
 	}
 }
 
+// TestSketchReSolvesFollowPlannedBoundStage pins that the exclusion-cut
+// re-solves behind a Limit-3 sketch query run the planner's bound stage,
+// like the first solve: the engine's simplex work and packages equal
+// three direct sketch.Solve calls made with the plan's BoundMode and a
+// growing exclusion list. A re-solve that ran the full pipeline instead
+// (through descend-1) would spend extra iterations on a bound nobody
+// reads.
+func TestSketchReSolvesFollowPlannedBoundStage(t *testing.T) {
+	db := minidb.New()
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 8000, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	// Three band atoms over enough leaves that the full pipeline's
+	// descend-1 stage refines the relaxation (and costs iterations).
+	prep, err := PrepareContext(context.Background(), db, `SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) BETWEEN 5 AND 8 AND SUM(P.calories) BETWEEN 2000 AND 3500
+		      AND SUM(P.fat) BETWEEN 50 AND 150
+		MAXIMIZE SUM(P.protein)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Strategy: SketchRefineStrategy, Seed: 1, Limit: 3}
+	qp := prep.Plan(opts)
+	if qp.Bound != plan.BoundTreeLPTighten {
+		t.Fatalf("band query over %d candidates planned bound %q, want %q",
+			len(prep.Instance.Rows), qp.Bound, plan.BoundTreeLPTighten)
+	}
+	res, err := prep.RunContext(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Packages) != 3 {
+		t.Fatalf("got %d packages, want 3", len(res.Packages))
+	}
+
+	sopts := sketch.Options{MaxPartitionSize: qp.Tau, Depth: qp.Depth, Parallelism: qp.Parallelism,
+		Seed: opts.Seed, BoundMode: qp.Bound}
+	iters := 0
+	want := map[string]bool{}
+	for k := 0; k < 3; k++ {
+		sres, err := sketch.Solve(prep.Instance, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sres.Feasible {
+			t.Fatalf("direct solve %d infeasible", k+1)
+		}
+		iters += sres.LPIters
+		want[MultKey(sres.Mult)] = true
+		sopts.Exclude = append(sopts.Exclude, sres.Mult)
+	}
+	if res.Stats.LPIters != iters {
+		t.Errorf("engine spent %d simplex iterations, direct solves with bound mode %q spent %d",
+			res.Stats.LPIters, qp.Bound, iters)
+	}
+	for i, p := range res.Packages {
+		if !want[MultKey(p.Mult)] {
+			t.Errorf("package %d (%v) is not among the direct solves' packages", i, p.Mult)
+		}
+	}
+}
+
 // TestSketchMultiplePackagesRepeat covers the other multi-package
 // branch: REPEAT blocks exclusion cuts, so distinct packages come from
 // partition-size/seed perturbation.
@@ -207,7 +271,7 @@ func TestSketchMultiplePackagesRepeat(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 300, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(db, `SELECT PACKAGE(R) AS P FROM recipes R REPEAT 1
+	res, err := EvaluateContext(context.Background(), db, `SELECT PACKAGE(R) AS P FROM recipes R REPEAT 1
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
 		MAXIMIZE SUM(P.protein)`,
 		Options{Strategy: SketchRefineStrategy, Seed: 1, Limit: 3, SketchPartitionSize: 16})
@@ -256,7 +320,7 @@ func TestSketchCoversAvgMinMaxNoFallback(t *testing.T) {
 		{`SUCH THAT COUNT(*) = 3 AND (AVG(P.calories) <= 900 OR SUM(P.calories) <= 2000) MAXIMIZE SUM(P.protein)`, 2, 1},
 	}
 	for _, q := range queries {
-		res, err := Evaluate(db, "SELECT PACKAGE(R) AS P FROM recipes R "+q.tail,
+		res, err := EvaluateContext(context.Background(), db, "SELECT PACKAGE(R) AS P FROM recipes R "+q.tail,
 			Options{Strategy: SketchRefineStrategy, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", q.tail, err)
@@ -288,7 +352,7 @@ func TestSketchRequestedForUnsupportedFallsBack(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 25, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(db, `
+	res, err := EvaluateContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT (COUNT(*) = 1 OR COUNT(*) = 2 OR COUNT(*) = 3)
 		      AND (SUM(P.calories) >= 0 OR SUM(P.protein) >= 0)

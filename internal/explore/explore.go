@@ -9,13 +9,11 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/lifecycle"
 	"repro/internal/minidb"
 	"repro/internal/paql"
 	"repro/internal/value"
@@ -31,17 +29,12 @@ type Session struct {
 	stats   *core.Stats // last evaluation's statistics
 }
 
-// Stats returns the statistics of the most recent Refresh or Replace
-// evaluation (nil before the first one).
+// Stats returns the statistics of the most recent RefreshContext or
+// ReplaceContext evaluation (nil before the first one).
 func (s *Session) Stats() *core.Stats { return s.stats }
 
-// NewSession prepares a query for exploration.
-func NewSession(db *minidb.DB, queryText string, opts core.Options) (*Session, error) {
-	return NewSessionContext(context.Background(), db, queryText, opts)
-}
-
-// NewSessionContext is NewSession under a context: the candidate scan
-// checks for cancellation (see core.PrepareContext).
+// NewSessionContext prepares a query for exploration. The candidate
+// scan checks ctx for cancellation (see core.PrepareContext).
 func NewSessionContext(ctx context.Context, db *minidb.DB, queryText string, opts core.Options) (*Session, error) {
 	prep, err := core.PrepareContext(ctx, db, queryText)
 	if err != nil {
@@ -56,7 +49,7 @@ func (s *Session) Query() *paql.Query { return s.prep.Query }
 // Prepared exposes the underlying prepared query (for viz/template).
 func (s *Session) Prepared() *core.Prepared { return s.prep }
 
-// Current returns the package on display (nil before Refresh).
+// Current returns the package on display (nil before RefreshContext).
 func (s *Session) Current() *core.Package { return s.current }
 
 // History returns all packages shown so far, oldest first.
@@ -72,24 +65,12 @@ func (s *Session) Pinned() []int {
 	return out
 }
 
-// Refresh evaluates the query (respecting pins) and makes the best
-// package current. Legacy surface: provable infeasibility comes back as
-// the classic untyped message; RefreshContext keeps the typed error.
-func (s *Session) Refresh() (*core.Package, error) {
-	p, err := s.RefreshContext(context.Background())
-	if err != nil && errors.Is(err, lifecycle.ErrInfeasible) {
-		return nil, fmt.Errorf("explore: no package satisfies the query%s",
-			pinSuffix(len(s.pinned)))
-	}
-	return p, err
-}
-
-// RefreshContext is Refresh under a context, with the RunContext error
-// taxonomy: lifecycle.ErrInfeasible when the query (with the current
-// pins) provably has no package, lifecycle.ErrCanceled /
-// ErrBudgetExceeded on cancellation or budget refusal. A heuristic
-// strategy finding nothing keeps the classic untyped "no package
-// satisfies" error.
+// RefreshContext evaluates the query (respecting pins) and makes the
+// best package current. Errors follow the RunContext taxonomy:
+// lifecycle.ErrInfeasible when the query (with the current pins)
+// provably has no package, lifecycle.ErrCanceled / ErrBudgetExceeded on
+// cancellation or budget refusal. A heuristic strategy finding nothing
+// is an untyped "no package satisfies" error.
 func (s *Session) RefreshContext(ctx context.Context) (*core.Package, error) {
 	opts := s.opts
 	opts.Require = s.Pinned()
@@ -139,22 +120,9 @@ func (s *Session) PinRowID(rowID int) error {
 // Unpin releases a pinned candidate.
 func (s *Session) Unpin(candidateIdx int) { delete(s.pinned, candidateIdx) }
 
-// Replace finds a package that keeps every pinned tuple but differs
-// from all packages shown so far (§3.3's "request a new sample that
-// replaces the unselected tuples"). Legacy surface: provable
-// infeasibility comes back as the classic untyped message;
-// ReplaceContext keeps the typed error.
-func (s *Session) Replace() (*core.Package, error) {
-	p, err := s.ReplaceContext(context.Background())
-	if err != nil && errors.Is(err, lifecycle.ErrInfeasible) {
-		return nil, fmt.Errorf("explore: no further distinct package exists%s",
-			pinSuffix(len(s.pinned)))
-	}
-	return p, err
-}
-
-// ReplaceContext is Replace under a context, with the RunContext error
-// taxonomy (see RefreshContext).
+// ReplaceContext finds a package that keeps every pinned tuple but
+// differs from all packages shown so far (§3.3's "request a new sample
+// that replaces the unselected tuples"). Errors follow RefreshContext.
 func (s *Session) ReplaceContext(ctx context.Context) (*core.Package, error) {
 	opts := s.opts
 	opts.Require = s.Pinned()

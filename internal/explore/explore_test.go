@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func newSession(t *testing.T) *Session {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 60, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(db, mealQuery, core.Options{Seed: 1})
+	s, err := NewSessionContext(context.Background(), db, mealQuery, core.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestRefreshAndHistory(t *testing.T) {
 	if s.Current() != nil {
 		t.Error("current should be nil before Refresh")
 	}
-	p, err := s.Refresh()
+	p, err := s.RefreshContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +49,13 @@ func TestRefreshAndHistory(t *testing.T) {
 
 func TestReplaceProducesDistinctPackages(t *testing.T) {
 	s := newSession(t)
-	first, err := s.Refresh()
+	first, err := s.RefreshContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{core.MultKey(first.Mult): true}
 	for i := 0; i < 3; i++ {
-		next, err := s.Replace()
+		next, err := s.ReplaceContext(context.Background())
 		if err != nil {
 			t.Fatalf("replace %d: %v", i, err)
 		}
@@ -74,7 +75,7 @@ func TestReplaceProducesDistinctPackages(t *testing.T) {
 
 func TestPinKeepsTuplesAcrossReplace(t *testing.T) {
 	s := newSession(t)
-	first, err := s.Refresh()
+	first, err := s.RefreshContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestPinKeepsTuplesAcrossReplace(t *testing.T) {
 	}
 	pinnedID := s.Prepared().Instance.IDs[pinnedCand]
 	for i := 0; i < 3; i++ {
-		next, err := s.Replace()
+		next, err := s.ReplaceContext(context.Background())
 		if err != nil {
 			t.Fatalf("replace %d: %v", i, err)
 		}
@@ -108,7 +109,7 @@ func TestPinKeepsTuplesAcrossReplace(t *testing.T) {
 
 func TestPinByRowID(t *testing.T) {
 	s := newSession(t)
-	if _, err := s.Refresh(); err != nil {
+	if _, err := s.RefreshContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	id := s.Prepared().Instance.IDs[0]
@@ -128,7 +129,7 @@ func TestPinByRowID(t *testing.T) {
 
 func TestSuggestNumericColumn(t *testing.T) {
 	s := newSession(t)
-	if _, err := s.Refresh(); err != nil {
+	if _, err := s.RefreshContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sugg, err := s.Suggest(Highlight{Column: "fat", Row: -1})
@@ -153,7 +154,7 @@ func TestSuggestNumericColumn(t *testing.T) {
 
 func TestSuggestCellAndCategorical(t *testing.T) {
 	s := newSession(t)
-	if _, err := s.Refresh(); err != nil {
+	if _, err := s.RefreshContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sugg, err := s.Suggest(Highlight{Column: "calories", Row: 0})
@@ -210,13 +211,13 @@ func TestInfeasibleRefreshErrors(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 20, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(db, `
+	s, err := NewSessionContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) >= 100000`, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Refresh(); err == nil {
+	if _, err := s.RefreshContext(context.Background()); err == nil {
 		t.Error("infeasible query should error on Refresh")
 	}
 }

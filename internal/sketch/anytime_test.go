@@ -6,6 +6,7 @@ package sketch_test
 // certified interval when it does.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func anytimePrep(t *testing.T, n int) *core.Prepared {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: n, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, anytimeQuery)
+	prep, err := core.PrepareContext(context.Background(), db, anytimeQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package sketch_test
 // BETWEEN-heavy queries, which is the whole point of the stages).
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -22,7 +23,7 @@ func boundPrep(t *testing.T, n int, query string) *core.Prepared {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: n, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, query)
+	prep, err := core.PrepareContext(context.Background(), db, query)
 	if err != nil {
 		t.Fatal(err)
 	}

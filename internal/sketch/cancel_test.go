@@ -25,7 +25,7 @@ func cancelPrep(t *testing.T, n int) *core.Prepared {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: n, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, cancelQuery)
+	prep, err := core.PrepareContext(context.Background(), db, cancelQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

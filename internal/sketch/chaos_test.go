@@ -28,6 +28,7 @@ package sketch_test
 // coverage table (the artifact the CI chaos-smoke job uploads).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -148,7 +149,7 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 			t.Fatalf("ddl %q: %v", stmt, err)
 		}
 	}
-	prep, err := core.Prepare(db, gc.queryText)
+	prep, err := core.PrepareContext(context.Background(), db, gc.queryText)
 	if err != nil {
 		return false
 	}
@@ -163,8 +164,10 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	// Healthy warm-up on both stacks (identical by determinism), plus
 	// the byte-identical gate: the full stack with no faults must
 	// produce exactly what a bare sketch.Solve produces, undegraded.
-	warm, err := prep.Run(clean.opts)
-	if err != nil {
+	// Contradictory cardinality bounds come back as ErrInfeasible with
+	// an empty Result: the bare solve below must agree it is infeasible.
+	warm, err := prep.RunContext(context.Background(), clean.opts)
+	if err != nil && !errors.Is(err, lifecycle.ErrInfeasible) {
 		if nullObjective(err) {
 			return false
 		}
@@ -187,7 +190,7 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 		t.Fatalf("healthy run multiplicities differ from bare solve\n full=%v\n bare=%v\n%s",
 			warm.Packages[0].Mult, bare.Mult, gc.queryText)
 	}
-	if _, err := prep.Run(faulty.opts); err != nil {
+	if _, err := prep.RunContext(context.Background(), faulty.opts); err != nil && !errors.Is(err, lifecycle.ErrInfeasible) {
 		t.Fatalf("faulted-stack warm-up (no injector yet): %v\n%s", err, gc.queryText)
 	}
 
@@ -196,7 +199,7 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	// stay cold for them).
 	writes := incrWrite(g, db)
 	if len(writes) > 0 {
-		prep, err = core.Prepare(db, gc.queryText)
+		prep, err = core.PrepareContext(context.Background(), db, gc.queryText)
 		if err != nil {
 			t.Fatalf("re-prepare after %v: %v", writes, err)
 		}
@@ -209,8 +212,8 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	// Reference answers: the clean incremental stack (patched path) and
 	// a from-scratch rebuild. Every ladder rung lands on one of these
 	// two trees, so they bracket all acceptable faulted outcomes.
-	cres, err := prep.Run(clean.opts)
-	if err != nil {
+	cres, err := prep.RunContext(context.Background(), clean.opts)
+	if err != nil && !errors.Is(err, lifecycle.ErrInfeasible) {
 		if nullObjective(err) {
 			return false
 		}
@@ -226,7 +229,7 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 
 	inj := fault.NewInjector(seed, rules...)
 	restore := fault.Enable(inj)
-	fres, ferr := prep.Run(faulty.opts)
+	fres, ferr := prep.RunContext(context.Background(), faulty.opts)
 	restore()
 	mergeCoverage(cov, inj.Coverage())
 
@@ -234,7 +237,8 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	if len(writes) > 0 {
 		cs.withWrites++
 	}
-	if ferr != nil {
+	// ErrInfeasible carries an empty Result, checked as an answer below.
+	if ferr != nil && !errors.Is(ferr, lifecycle.ErrInfeasible) {
 		switch {
 		case errors.Is(ferr, lifecycle.ErrInternal):
 			cs.typedErrs++

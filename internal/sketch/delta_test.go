@@ -1,6 +1,7 @@
 package sketch_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -20,7 +21,7 @@ func deltaFixture(t *testing.T, n int) (*minidb.DB, *core.Prepared) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: n, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, mealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestApplyDeltaInsertAndDelete(t *testing.T) {
 	if _, err := db.Exec("INSERT INTO recipes VALUES (99999, 'full', 'fusion', 'dinner', 'full', 700, 30, 10, 50, 9.5, 4.5)"); err != nil {
 		t.Fatal(err)
 	}
-	prep2, err := core.Prepare(db, mealQuery)
+	prep2, err := core.PrepareContext(context.Background(), db, mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestPatchedProvenanceTriggersRebuildRetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prep, err := core.Prepare(db, `
+	prep, err := core.PrepareContext(context.Background(), db, `
 		SELECT PACKAGE(T) AS P FROM t T
 		SUCH THAT COUNT(*) = 2 AND SUM(P.a) = 100`)
 	if err != nil {

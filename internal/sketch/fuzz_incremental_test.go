@@ -30,6 +30,8 @@ package sketch_test
 //     distribution must not degrade).
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -37,6 +39,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lifecycle"
 	"repro/internal/milp"
 	"repro/internal/minidb"
 	"repro/internal/sketch"
@@ -103,7 +106,7 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 			t.Fatalf("ddl %q: %v", stmt, err)
 		}
 	}
-	prep, err := core.Prepare(db, gc.queryText)
+	prep, err := core.PrepareContext(context.Background(), db, gc.queryText)
 	if err != nil {
 		return false
 	}
@@ -121,7 +124,10 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 		SketchMemo:          core.NewFingerprintMemo(),
 		SketchIncremental:   true,
 	}
-	if _, err := prep.Run(copts); err != nil {
+	// Contradictory cardinality bounds come back as ErrInfeasible with
+	// the stats set (strategy pruned-enum), which the fallback check
+	// below skips.
+	if _, err := prep.RunContext(context.Background(), copts); err != nil && !errors.Is(err, lifecycle.ErrInfeasible) {
 		if nullObjective(err) {
 			return false // empty-package optimum: core cannot materialize it
 		}
@@ -134,7 +140,7 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 		if len(writes) == 0 {
 			continue
 		}
-		prep, err = core.Prepare(db, gc.queryText)
+		prep, err = core.PrepareContext(context.Background(), db, gc.queryText)
 		if err != nil {
 			t.Fatalf("re-prepare after %v: %v", writes, err)
 		}
@@ -145,8 +151,8 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 
 		// Patched path: shared cache + memo, incremental on. core
 		// hard-errors if a claimed-feasible package fails validation.
-		pres, err := prep.Run(copts)
-		if err != nil {
+		pres, err := prep.RunContext(context.Background(), copts)
+		if err != nil && !errors.Is(err, lifecycle.ErrInfeasible) {
 			if nullObjective(err) {
 				break // empty-package optimum: core cannot materialize it
 			}

@@ -22,6 +22,7 @@ package sketch_test
 // CI exercises the same checks deterministically on every push.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -178,7 +179,7 @@ func diffOne(t *testing.T, g *qgen, st *diffStats) (*genCase, bool) {
 			t.Fatalf("ddl %q: %v", stmt, err)
 		}
 	}
-	prep, err := core.Prepare(db, gc.queryText)
+	prep, err := core.PrepareContext(context.Background(), db, gc.queryText)
 	if err != nil {
 		return &gc, false // e.g. analyzer rejections; nothing to compare
 	}

@@ -6,6 +6,7 @@ package sketch_test
 // test cross-checks against the exact MILP solver where it is cheap.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,7 +24,7 @@ func grammarPrep(t *testing.T, n int, tail string) *core.Prepared {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: n, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, "SELECT PACKAGE(R) AS P FROM recipes R "+tail)
+	prep, err := core.PrepareContext(context.Background(), db, "SELECT PACKAGE(R) AS P FROM recipes R "+tail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func grammarPrep(t *testing.T, n int, tail string) *core.Prepared {
 // exactObjective solves the instance exactly and returns the optimum.
 func exactObjective(t *testing.T, prep *core.Prepared) float64 {
 	t.Helper()
-	res, err := prep.Run(core.Options{Strategy: core.Solver, Seed: 1})
+	res, err := prep.RunContext(context.Background(), core.Options{Strategy: core.Solver, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestSketchEnvelopePruneForcesCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prep, err := core.Prepare(db, `
+	prep, err := core.PrepareContext(context.Background(), db, `
 		SELECT PACKAGE(T) AS P FROM t T
 		SUCH THAT COUNT(*) = 4 AND MIN(P.x) >= 100
 		MAXIMIZE SUM(P.y)`)

@@ -1,6 +1,7 @@
 package sketch_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestDepthClampedAndFlat(t *testing.T) {
 // top-level MILP must stay around the square root of the leaf count.
 func TestHierarchicalDepth2(t *testing.T) {
 	prep := recipesPrep(t, 2000)
-	exact, err := prep.Run(core.Options{Strategy: core.Solver, Seed: 1})
+	exact, err := prep.RunContext(context.Background(), core.Options{Strategy: core.Solver, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestHierarchical1MWithin5Percent(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 1000000, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, mealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestPartitionCacheHitAndInvalidation(t *testing.T) {
 	if _, err := db.Exec("INSERT INTO recipes VALUES (99999, 'new', 'fusion', 'dinner', 'free', 2100, 99, 10, 50, 9.5, 4.5)"); err != nil {
 		t.Fatal(err)
 	}
-	prep2, err := core.Prepare(db, mealQuery)
+	prep2, err := core.PrepareContext(context.Background(), db, mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestSketchExclusionCuts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rp, err := core.Prepare(db, `SELECT PACKAGE(T) AS P FROM t T REPEAT 2 SUCH THAT SUM(P.x) <= 10`)
+	rp, err := core.PrepareContext(context.Background(), db, `SELECT PACKAGE(T) AS P FROM t T REPEAT 2 SUCH THAT SUM(P.x) <= 10`)
 	if err != nil {
 		t.Fatal(err)
 	}

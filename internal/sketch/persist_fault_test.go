@@ -1,6 +1,7 @@
 package sketch_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,7 +25,7 @@ func TestPatchedTreeResaveCrashSafety(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 400, Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, mealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestPatchedTreeResaveCrashSafety(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prep2, err := core.Prepare(db, mealQuery)
+	prep2, err := core.PrepareContext(context.Background(), db, mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSolvePersistsPatchedTree(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 400, Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, mealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSolvePersistsPatchedTree(t *testing.T) {
 	if _, err := db.Exec("INSERT INTO recipes VALUES (70010, 'p', 'fusion', 'dinner', 'free', 700, 33, 10, 50, 9.5, 4.5)"); err != nil {
 		t.Fatal(err)
 	}
-	prep2, err := core.Prepare(db, mealQuery)
+	prep2, err := core.PrepareContext(context.Background(), db, mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

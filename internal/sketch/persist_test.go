@@ -1,6 +1,7 @@
 package sketch_test
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -227,7 +228,7 @@ func TestCorePersistTreeLoadedStat(t *testing.T) {
 		SketchPartitionSize: 16, SketchDepth: 2, SketchPersistDir: dir}
 
 	first := recipesPrep(t, 1500)
-	cold, err := first.Run(opts)
+	cold, err := first.RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestCorePersistTreeLoadedStat(t *testing.T) {
 
 	// A fresh preparation simulates a new process: no cache, only disk.
 	second := recipesPrep(t, 1500)
-	warm, err := second.Run(opts)
+	warm, err := second.RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,8 +109,6 @@ type Options struct {
 	// Timeout bounds the whole evaluation; refine falls back to greedy
 	// repair once it expires.
 	Timeout time.Duration
-	// SolverNodes caps branch-and-bound nodes per sub-MILP (0 = default).
-	SolverNodes int
 	// Cache, when non-nil, caches partition trees across evaluations,
 	// keyed by a fingerprint of the candidate rows plus the
 	// partitioning knobs; a hit skips the offline partitioning step
@@ -182,12 +180,9 @@ type Options struct {
 	forceRebuild bool
 }
 
-func (o Options) nodes() int {
-	if o.SolverNodes > 0 {
-		return o.SolverNodes
-	}
-	return 50000
-}
+// subMILPNodes caps branch-and-bound nodes per sketch or refine
+// sub-MILP.
+const subMILPNodes = 50000
 
 // stopped is the non-blocking poll behind every cooperative
 // cancellation checkpoint in the package.
@@ -1065,7 +1060,7 @@ func rootSolve(inst *search.Instance, nodes []Node, atoms []*translate.LinearAto
 	for g := 0; g < G; g++ {
 		mp.SetInteger(g)
 	}
-	sol := milp.Solve(mp, milp.Options{MaxNodes: opts.nodes(), TimeLimit: timeShare(deadline, 2), Ctx: opts.Ctx})
+	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, TimeLimit: timeShare(deadline, 2), Ctx: opts.Ctx})
 	res.Nodes += int64(sol.Nodes)
 	res.LPIters += sol.LPIters
 	switch sol.Status {

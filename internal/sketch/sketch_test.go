@@ -1,6 +1,7 @@
 package sketch_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -25,7 +26,7 @@ func recipesPrep(t *testing.T, n int) *core.Prepared {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: n, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, mealQuery)
+	prep, err := core.PrepareContext(context.Background(), db, mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestSketchVsExactSmall(t *testing.T) {
 	for _, n := range []int{120, 400} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			prep := recipesPrep(t, n)
-			exact, err := prep.Run(core.Options{Strategy: core.Solver, Seed: 1})
+			exact, err := prep.RunContext(context.Background(), core.Options{Strategy: core.Solver, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +142,7 @@ func TestRefineFallbackInfeasiblePartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prep, err := core.Prepare(db, `SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) = 2 AND SUM(P.x) = 4`)
+	prep, err := core.PrepareContext(context.Background(), db, `SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) = 2 AND SUM(P.x) = 4`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestApplicableCoversFullAtomGrammar(t *testing.T) {
 		`SUCH THAT COUNT(*) = 2 OR SUM(P.calories) <= 1500`,
 	}
 	for _, clause := range supported {
-		prep, err := core.Prepare(db, "SELECT PACKAGE(R) AS P FROM recipes R "+clause)
+		prep, err := core.PrepareContext(context.Background(), db, "SELECT PACKAGE(R) AS P FROM recipes R "+clause)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +199,7 @@ func TestApplicableCoversFullAtomGrammar(t *testing.T) {
 		{`SUCH THAT SUM(P.calories) <> 800`, "SUM(R.calories)"},
 	}
 	for _, tc := range rejected {
-		prep, err := core.Prepare(db, "SELECT PACKAGE(R) AS P FROM recipes R "+tc.clause)
+		prep, err := core.PrepareContext(context.Background(), db, "SELECT PACKAGE(R) AS P FROM recipes R "+tc.clause)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +222,7 @@ func TestSketchTrivialEmptyCandidates(t *testing.T) {
 	if _, err := db.Exec("CREATE TABLE t (x INT)"); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, `SELECT PACKAGE(T) AS P FROM t T SUCH THAT SUM(P.x) <= 10`)
+	prep, err := core.PrepareContext(context.Background(), db, `SELECT PACKAGE(T) AS P FROM t T SUCH THAT SUM(P.x) <= 10`)
 	if err != nil {
 		t.Fatal(err)
 	}

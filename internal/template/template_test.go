@@ -1,6 +1,7 @@
 package template
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestToPaQLRoundTrip(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 40, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Evaluate(db, tpl.ToPaQL(), core.Options{})
+	res, err := core.EvaluateContext(context.Background(), db, tpl.ToPaQL(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestRenderShowsSampleAndSlots(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 40, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Evaluate(db, mealText, core.Options{})
+	res, err := core.EvaluateContext(context.Background(), db, mealText, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

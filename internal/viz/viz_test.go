@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -16,14 +17,14 @@ func preparedWithPackages(t *testing.T) (*core.Prepared, []*core.Package) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 50, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, `
+	prep, err := core.PrepareContext(context.Background(), db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 900 AND 2400
 		MAXIMIZE SUM(P.protein) LIMIT 6`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep.Run(core.Options{})
+	res, err := prep.RunContext(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,17 +68,21 @@
 // certificate into an anytime mode — SketchRefine stops descending as
 // soon as the proven gap drops within tol.
 //
-// Every evaluation surface has a context-aware variant — QueryContext,
-// ExplainContext, ExploreContext, ExecSQLContext, and RunContext on a
-// Prepared — that threads the context cooperatively through candidate
+// Every evaluation surface is context-aware — QueryContext,
+// ExplainContext, ExploreContext (whose sessions take a context per
+// RefreshContext / ReplaceContext), ExecSQLContext, and RunContext on a
+// Prepared — and threads the context cooperatively through candidate
 // scans, MILP branch-and-bound, and SketchRefine's parallel build and
 // refine phases, so cancellation returns promptly even mid-solve over
 // millions of tuples. Outcomes are distinguished by an errors.Is-able
 // taxonomy (ErrInfeasible, ErrCanceled, ErrBudgetExceeded,
 // ErrAdmission); WithTimeout is sugar for a derived context deadline and
 // WithMemoryBudget refuses queries whose planner-predicted working set
-// exceeds a byte budget. The context-free methods (Query, Explore, ...)
-// evaluate under context.Background() with the original contracts.
+// exceeds a byte budget. The context-free System methods (Query,
+// Explain, Explore, Prepare, ExecSQL) delegate to their context forms
+// under context.Background(); only Query keeps the legacy contract of
+// answering a provably infeasible query with an empty result instead of
+// ErrInfeasible.
 //
 // Typical use:
 //
@@ -90,6 +94,7 @@ package packagebuilder
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -113,7 +118,7 @@ import (
 // context.DeadlineExceeded) survive the wrap.
 var (
 	// ErrInfeasible: the query provably has no satisfying package.
-	// Returned only by the context-aware surfaces and only on proof
+	// Returned by every surface but System.Query, and only on proof
 	// (contradictory cardinality bounds, or an exact strategy completing
 	// empty); a heuristic strategy finding nothing is an empty result,
 	// not an error.
@@ -175,7 +180,7 @@ func (s *System) DB() *minidb.DB { return s.db }
 
 // ExecSQL runs one SQL statement against the embedded database.
 func (s *System) ExecSQL(sql string) (*minidb.Result, error) {
-	return s.db.Exec(sql)
+	return s.ExecSQLContext(context.Background(), sql)
 }
 
 // ExecSQLContext is ExecSQL under a context. Statements are short and
@@ -366,11 +371,15 @@ func (s *System) buildOptions(opts []Option) core.Options {
 	return o
 }
 
-// Query evaluates a PaQL query under context.Background() with the
-// legacy contract: a provably infeasible query is an empty result, not
-// an error. See QueryContext for the typed-error surface.
+// Query is QueryContext under context.Background(), and the one
+// surface that keeps the legacy contract: a provably infeasible query is
+// an empty result (plan and stats set), not ErrInfeasible.
 func (s *System) Query(paqlText string, opts ...Option) (*Result, error) {
-	return core.Evaluate(s.db, paqlText, s.buildOptions(opts))
+	res, err := s.QueryContext(context.Background(), paqlText, opts...)
+	if errors.Is(err, ErrInfeasible) {
+		return res, nil
+	}
+	return res, err
 }
 
 // QueryContext evaluates a PaQL query under a context. The context is
@@ -385,9 +394,8 @@ func (s *System) QueryContext(ctx context.Context, paqlText string, opts ...Opti
 }
 
 // Prepare parses and binds a PaQL query for repeated evaluation.
-// Repeated prep.Run calls share the system's partition-tree cache and
-// fingerprint memo; prep.RunContext adds the context-aware typed-error
-// contract per run.
+// Repeated prep.RunContext calls share the system's partition-tree
+// cache and fingerprint memo.
 func (s *System) Prepare(paqlText string) (*core.Prepared, error) {
 	return s.PrepareContext(context.Background(), paqlText)
 }
@@ -432,7 +440,7 @@ func (s *System) ExplainContext(ctx context.Context, paqlText string, opts ...Op
 // Explore opens an adaptive-exploration session (§3.3): evaluate,
 // pin tuples, request replacements.
 func (s *System) Explore(paqlText string, opts ...Option) (*explore.Session, error) {
-	return explore.NewSession(s.db, paqlText, s.buildOptions(opts))
+	return s.ExploreContext(context.Background(), paqlText, opts...)
 }
 
 // ExploreContext is Explore under a context. The session's own

@@ -1,6 +1,8 @@
 package packagebuilder_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +49,31 @@ func TestPublicAPIQuery(t *testing.T) {
 		if row[4].StrVal() != "free" {
 			t.Errorf("base constraint violated: %v", row)
 		}
+	}
+}
+
+// TestQueryKeepsLegacyInfeasibleContract: System.Query is the one
+// surface that answers a provably infeasible query with an empty result
+// and a nil error; QueryContext reports ErrInfeasible with the plan
+// attached. Neither surface skips the memory budget.
+func TestQueryKeepsLegacyInfeasibleContract(t *testing.T) {
+	sys := newSystem(t, 30)
+	const contradictory = `
+		SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) >= 5 AND COUNT(*) <= 2`
+	res, err := sys.Query(contradictory)
+	if err != nil || res == nil || len(res.Packages) != 0 {
+		t.Fatalf("Query: res=%v err=%v, want empty result and nil error", res, err)
+	}
+	res, err = sys.QueryContext(context.Background(), contradictory)
+	if !errors.Is(err, pb.ErrInfeasible) {
+		t.Fatalf("QueryContext = %v, want ErrInfeasible", err)
+	}
+	if res == nil || res.Stats.Plan == nil {
+		t.Fatal("infeasible QueryContext result should still carry the plan")
+	}
+	if _, err := sys.Query(mealQuery, pb.WithMemoryBudget(1)); !errors.Is(err, pb.ErrBudgetExceeded) {
+		t.Fatalf("Query with budget = %v, want ErrBudgetExceeded", err)
 	}
 }
 
@@ -119,7 +146,7 @@ func TestPublicAPIExploreAndTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := ses.Refresh()
+	first, err := ses.RefreshContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +158,7 @@ func TestPublicAPIExploreAndTemplate(t *testing.T) {
 			break
 		}
 	}
-	next, err := ses.Replace()
+	next, err := ses.ReplaceContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
