@@ -21,7 +21,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/paql"
 	"repro/internal/sketch"
-	"repro/internal/translate"
 )
 
 // E15Disjunctive places the trivially-feasible high-objective branch
@@ -97,9 +96,9 @@ func runE15Certified(cfg Config, tw interface{ Write([]byte) (int, error) }, n i
 	// — the solve needs it anyway — so this is the marginal cost of
 	// certification.
 	inst := prep.Instance
-	atoms, ok, err := translate.ConjunctiveAtoms(prep.Analysis, inst.Rows)
-	if err != nil || !ok {
-		return fmt.Errorf("e15: n=%d: meal query must lower to conjunctive atoms (ok=%v err=%v)", n, ok, err)
+	atoms := inst.Atoms
+	if !inst.Pure {
+		return fmt.Errorf("e15: n=%d: meal query must lower to conjunctive atoms", n)
 	}
 	tree := sketch.BuildTree(inst, sketch.Options{Seed: cfg.seed()})
 	leaves := tree.Leaves()

@@ -83,11 +83,11 @@ func (b Bounds) String() string {
 
 // StatsProvider supplies candidate-tuple statistics for an aggregate:
 // MIN and MAX of the aggregate's argument over the candidate relation
-// (restricted to the aggregate's filter, when present) and the number of
-// candidates passing the filter. ok=false means statistics are
-// unavailable (non-numeric argument), which yields trivial bounds.
+// (restricted to the aggregate's filter, when present). ok=false means
+// statistics are unavailable (no argument, or a non-numeric one), which
+// yields trivial bounds.
 type StatsProvider interface {
-	AggStats(a *paql.Agg) (minVal, maxVal float64, n int, ok bool)
+	AggStats(a *paql.Agg) (minVal, maxVal float64, ok bool)
 }
 
 // Derive computes cardinality bounds for a SUCH THAT formula. n is the
@@ -242,7 +242,7 @@ func sumBounds(agg *paql.Agg, op expr.BinOp, c float64, sp StatsProvider) Bounds
 	if sp == nil {
 		return Trivial()
 	}
-	minX, maxX, _, ok := sp.AggStats(agg)
+	minX, maxX, ok := sp.AggStats(agg)
 	if !ok {
 		return Trivial()
 	}

@@ -10,15 +10,16 @@ import (
 	"repro/internal/value"
 )
 
-// fakeStats serves fixed MIN/MAX for every aggregate.
+// fakeStats serves fixed MIN/MAX for every aggregate; n is the
+// candidate count the tests hand to Derive alongside it.
 type fakeStats struct {
 	min, max float64
 	n        int
 	ok       bool
 }
 
-func (f fakeStats) AggStats(*paql.Agg) (float64, float64, int, bool) {
-	return f.min, f.max, f.n, f.ok
+func (f fakeStats) AggStats(*paql.Agg) (float64, float64, bool) {
+	return f.min, f.max, f.ok
 }
 
 func relSchema() schema.Schema {

@@ -5,10 +5,10 @@
 // neighbourhoods are generated by SQL joins against the DBMS (§4.2).
 //
 // All strategies operate on an Instance: the analyzed query plus its
-// candidate tuples (those satisfying the base constraints), with the
-// top-level conjunctive linear atoms and objective pre-weighted per
-// candidate for incremental evaluation. Packages are multiplicity
-// vectors over the candidates.
+// candidate tuples (those satisfying the base constraints), with each
+// aggregate argument evaluated once per candidate into columns that
+// weigh the atoms, the objective and the bounds for incremental
+// evaluation. Packages are multiplicity vectors over the candidates.
 package search
 
 import (
@@ -17,7 +17,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/paql"
 	"repro/internal/prune"
 	"repro/internal/schema"
@@ -31,6 +30,7 @@ type Instance struct {
 	IDs      []int        // base-table row ids, parallel to Rows
 	MaxMult  int          // per-tuple multiplicity cap (≥1 for enumerators)
 
+	Cols   *translate.Columns      // aggregate arguments per candidate: the one weight source
 	Atoms  []*translate.LinearAtom // top-level conjunctive linear atoms
 	Pure   bool                    // Atoms are exactly the formula
 	ObjW   []float64               // linear objective weights (nil if non-affine)
@@ -38,8 +38,8 @@ type Instance struct {
 	Bounds prune.Bounds            // §4.1 cardinality bounds
 }
 
-// NewInstance prepares an instance: extracts atoms, objective weights
-// and cardinality bounds.
+// NewInstance prepares an instance: evaluates the aggregate columns,
+// then weighs atoms, objective and cardinality bounds from them.
 func NewInstance(a *paql.Analysis, rows []schema.Row, ids []int) (*Instance, error) {
 	if len(rows) != len(ids) {
 		return nil, fmt.Errorf("search: %d rows but %d ids", len(rows), len(ids))
@@ -49,63 +49,14 @@ func NewInstance(a *paql.Analysis, rows []schema.Row, ids []int) (*Instance, err
 		Rows:     rows,
 		IDs:      ids,
 		MaxMult:  a.Query.MaxMultiplicity(),
+		Cols:     translate.NewColumns(a, rows),
 	}
-	atoms, pure, err := translate.ConjunctiveAtoms(a, rows)
-	if err != nil {
-		return nil, err
-	}
-	inst.Atoms, inst.Pure = atoms, pure
-	if w, k, err := translate.ObjectiveWeights(a, rows); err == nil {
+	inst.Atoms, inst.Pure = translate.ConjunctiveAtoms(a, inst.Cols)
+	if w, k, err := translate.ObjectiveWeights(a, inst.Cols); err == nil {
 		inst.ObjW, inst.ObjK = w, k
 	} // non-affine objectives fall back to full evaluation
-	inst.Bounds = prune.Derive(a.Query.SuchThat, rowStats{inst}, len(rows), inst.MaxMult)
+	inst.Bounds = prune.Derive(a.Query.SuchThat, inst.Cols, len(rows), inst.MaxMult)
 	return inst, nil
-}
-
-// rowStats adapts candidate rows to prune.StatsProvider.
-type rowStats struct{ inst *Instance }
-
-// AggStats scans the candidates for MIN/MAX of the aggregate argument.
-func (rs rowStats) AggStats(a *paql.Agg) (minVal, maxVal float64, n int, ok bool) {
-	if a.Arg == nil {
-		return 0, 0, len(rs.inst.Rows), true
-	}
-	first := true
-	for _, row := range rs.inst.Rows {
-		if a.Filter != nil {
-			pass, err := expr.EvalBool(a.Filter, row)
-			if err != nil || !pass {
-				continue
-			}
-		}
-		v, err := a.Arg.Eval(row)
-		if err != nil {
-			return 0, 0, 0, false
-		}
-		if v.IsNull() {
-			continue
-		}
-		f, isNum := v.AsFloat()
-		if !isNum {
-			return 0, 0, 0, false
-		}
-		if first {
-			minVal, maxVal = f, f
-			first = false
-		} else {
-			if f < minVal {
-				minVal = f
-			}
-			if f > maxVal {
-				maxVal = f
-			}
-		}
-		n++
-	}
-	if first {
-		return 0, 0, 0, false // no numeric values at all
-	}
-	return minVal, maxVal, n, true
 }
 
 // Pkg is a package: multiplicities over the instance's candidates.

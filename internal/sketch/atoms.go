@@ -6,7 +6,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/lifecycle"
 	"repro/internal/lp"
-	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/translate"
 )
@@ -33,11 +32,10 @@ type branchAtoms struct {
 	admissible []bool
 }
 
-// newBranchAtoms weighs a compiled branch over the instance's
-// candidates. Each atom's weighing is linear in the candidates, so the
-// context is checked between atoms — at 1M rows a single weigh runs
-// low hundreds of milliseconds, the longest remaining stretch a
-// canceled solve can sit out here.
+// newBranchAtoms weighs a compiled branch from the instance's candidate
+// columns (inst.Cols), so no aggregate argument is re-evaluated here:
+// each atom's weighing is one pass over float columns, linear in the
+// candidates, and the context is still checked between atoms.
 func newBranchAtoms(ctx context.Context, inst *search.Instance, br translate.SketchBranch) (*branchAtoms, error) {
 	ba := &branchAtoms{branch: br, sels: map[int]*translate.Selector{}}
 	for i, at := range br.Atoms {
@@ -45,7 +43,7 @@ func newBranchAtoms(ctx context.Context, inst *search.Instance, br translate.Ske
 			return nil, err
 		}
 		if at.IsSelector() {
-			sel, err := at.Selector(inst.Rows)
+			sel, err := at.Selector(inst.Cols)
 			if err != nil {
 				return nil, err
 			}
@@ -66,7 +64,7 @@ func newBranchAtoms(ctx context.Context, inst *search.Instance, br translate.Ske
 			}
 			continue
 		}
-		rows, err := at.Weigh(inst.Rows)
+		rows, err := at.Weigh(inst.Cols)
 		if err != nil {
 			return nil, err
 		}
@@ -100,10 +98,10 @@ func (ba *branchAtoms) admissibleCounts(nodes []Node) []int {
 }
 
 // levelAtoms weighs the branch over one level of the partition tree:
-// representative rows for the non-selector atoms, envelope relaxations
-// for the selectors. The returned slice is ordered like tuple, so
-// residual bookkeeping lines up across levels.
-func (ba *branchAtoms) levelAtoms(nodes []Node, attrs []int, reps []schema.Row) ([]*translate.LinearAtom, error) {
+// the level's representative columns for the non-selector atoms,
+// envelope relaxations for the selectors. The returned slice is ordered
+// like tuple, so residual bookkeeping lines up across levels.
+func (ba *branchAtoms) levelAtoms(nodes []Node, attrs []int, reps *translate.Columns) ([]*translate.LinearAtom, error) {
 	out := make([]*translate.LinearAtom, 0, len(ba.tuple))
 	for i, at := range ba.branch.Atoms {
 		if sel := ba.sels[i]; sel != nil {

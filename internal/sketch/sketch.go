@@ -323,13 +323,24 @@ func Solve(inst *search.Instance, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A branch's atoms depend only on the instance and the branch, so
+	// each branch is weighed at most once per call, on first use: the
+	// anytime pre-pass, the descent loop and the parity retry share it,
+	// and an early exit still skips the branches it never reaches.
+	weighed := make([]*branchAtoms, len(branches))
+	weigh := func(bi int) (ba *branchAtoms, err error) {
+		if weighed[bi] == nil {
+			weighed[bi], err = newBranchAtoms(opts.Ctx, inst, branches[bi])
+		}
+		return weighed[bi], err
+	}
 	if n == 0 {
 		// The empty package, judged under the linear lens (empty sums
 		// are 0): feasible when some branch's rows accept the zero
 		// vector and the cardinality bounds allow an empty package.
 		res.Mult = []int{}
-		for _, br := range branches {
-			ba, err := newBranchAtoms(opts.Ctx, inst, br)
+		for bi := range branches {
+			ba, err := weigh(bi)
 			if err != nil {
 				return nil, err
 			}
@@ -387,8 +398,8 @@ func Solve(inst *search.Instance, opts Options) (*Result, error) {
 		// — the tightest certificate it can produce.
 		prebounded := false
 		if wantBound && opts.GapTolerance > 0 && len(branches) > 1 {
-			for _, br := range branches {
-				ba, err := newBranchAtoms(opts.Ctx, inst, br)
+			for bi := range branches {
+				ba, err := weigh(bi)
 				if err != nil {
 					return nil, err
 				}
@@ -414,7 +425,7 @@ func Solve(inst *search.Instance, opts Options) (*Result, error) {
 				prebounded = true
 			}
 		}
-		for bi, br := range branches {
+		for bi := range branches {
 			if err := lifecycle.ContextErr(opts.Ctx); err != nil {
 				return nil, err
 			}
@@ -427,7 +438,7 @@ func Solve(inst *search.Instance, opts Options) (*Result, error) {
 					break
 				}
 			}
-			ba, err := newBranchAtoms(opts.Ctx, inst, br)
+			ba, err := weigh(bi)
 			if err != nil {
 				return nil, err
 			}
@@ -995,12 +1006,13 @@ func descend(inst *search.Instance, tree *Tree, ba *branchAtoms, exAtoms []*tran
 		for i := range nodes {
 			reps[i] = nodes[i].Rep
 		}
-		atoms, err := ba.levelAtoms(nodes, tree.Attrs, reps)
+		cols := translate.NewColumns(inst.Analysis, reps)
+		atoms, err := ba.levelAtoms(nodes, tree.Attrs, cols)
 		if err != nil {
 			return nil, nil, false, err
 		}
 		atoms = append(atoms, nodeExclusionAtoms(nodes, exAtoms)...)
-		w, _, err := translate.ObjectiveWeights(inst.Analysis, reps)
+		w, _, err := translate.ObjectiveWeights(inst.Analysis, cols)
 		if err != nil {
 			return nil, nil, false, err
 		}

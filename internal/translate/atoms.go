@@ -6,7 +6,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/lp"
 	"repro/internal/paql"
-	"repro/internal/schema"
 )
 
 // LinearAtom is one linear constraint Σᵢ W[i]·x_i (Op) RHS over the
@@ -46,18 +45,17 @@ func (la *LinearAtom) CheckSum(s float64) bool {
 
 // ConjunctiveAtoms extracts the linear SUM/COUNT comparison atoms that
 // appear as top-level conjuncts of the query's SUCH THAT formula,
-// weighted over the given candidates. The boolean result reports
+// weighted over the candidate columns. The boolean result reports
 // whether the atoms are EXACTLY the formula (pure): when false (the
 // formula also has disjunctions, AVG/MIN/MAX atoms, or non-linear
 // parts), the atoms are still necessary conditions usable for sound
 // pruning, but candidates must be re-validated with paql.Satisfies.
 //
 // Strict comparisons relax to their closed forms (sound for pruning).
-func ConjunctiveAtoms(a *paql.Analysis, candidates []schema.Row) ([]*LinearAtom, bool, error) {
+func ConjunctiveAtoms(a *paql.Analysis, cols *Columns) ([]*LinearAtom, bool) {
 	if a.Query.SuchThat == nil {
-		return nil, true, nil
+		return nil, true
 	}
-	m := &Model{Candidates: candidates, NumTupleVars: len(candidates)}
 	pure := true
 	var atoms []*LinearAtom
 	var visit func(n bnode)
@@ -70,7 +68,7 @@ func ConjunctiveAtoms(a *paql.Analysis, candidates []schema.Row) ([]*LinearAtom,
 		case *bOr:
 			pure = false
 		case *bAtom:
-			la, ok := m.linearAtom(node.e)
+			la, ok := linearAtom(cols, node.e)
 			if !ok {
 				pure = false
 				return
@@ -79,43 +77,44 @@ func ConjunctiveAtoms(a *paql.Analysis, candidates []schema.Row) ([]*LinearAtom,
 		}
 	}
 	visit(nnf(a.Query.SuchThat, false))
-	return atoms, pure, nil
+	return atoms, pure
+}
+
+// comparisonForm decomposes an affine SUM/COUNT comparison L op R into
+// the affine form of L − R.
+func comparisonForm(b *expr.Binary) (*affine, error) {
+	l, err := affineForm(b.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := affineForm(b.R)
+	if err != nil {
+		return nil, err
+	}
+	diff := newAffine()
+	diff.addScaled(l, 1)
+	diff.addScaled(r, -1)
+	return diff, nil
 }
 
 // linearAtom converts one comparison into linear atoms (an equality
 // yields LE+GE). ok=false for shapes with no (closed) linear form.
-func (m *Model) linearAtom(e expr.Expr) ([]*LinearAtom, bool) {
+func linearAtom(cols *Columns, e expr.Expr) ([]*LinearAtom, bool) {
 	b, isCmp := e.(*expr.Binary)
 	if !isCmp || !b.Op.Comparison() {
 		return nil, false
 	}
 	// AVG/MIN/MAX atoms are not usable for incremental sums; skip.
-	if agg, _, _, ok, _ := m.specialAtom(b); ok && agg != nil {
+	if agg, _, _, ok, _ := specialAtom(b); ok && agg != nil {
 		return nil, false
 	}
-	l, err := m.affineForm(b.L)
+	diff, err := comparisonForm(b)
 	if err != nil {
 		return nil, false
 	}
-	r, err := m.affineForm(b.R)
+	w, err := cols.affineWeights(diff)
 	if err != nil {
 		return nil, false
-	}
-	diff := newAffine()
-	diff.addScaled(l, 1)
-	diff.addScaled(r, -1)
-	w := make([]float64, m.NumTupleVars)
-	for key, coef := range diff.coeffs {
-		if coef == 0 {
-			continue
-		}
-		aw, err := m.aggWeights(diff.aggs[key])
-		if err != nil {
-			return nil, false
-		}
-		for i, wi := range aw {
-			w[i] += coef * wi
-		}
 	}
 	rhs := -diff.konst
 	src := e.String()
@@ -133,27 +132,19 @@ func (m *Model) linearAtom(e expr.Expr) ([]*LinearAtom, bool) {
 	return nil, false
 }
 
-// ObjectiveWeights linearizes the query objective over the candidates:
-// value(pkg) = Σ W[i]·mult[i] + Const. An error is returned for
-// non-affine objectives.
-func ObjectiveWeights(a *paql.Analysis, candidates []schema.Row) (w []float64, konst float64, err error) {
+// ObjectiveWeights linearizes the query objective over the candidate
+// columns: value(pkg) = Σ W[i]·mult[i] + Const. An error is returned
+// for non-affine objectives.
+func ObjectiveWeights(a *paql.Analysis, cols *Columns) (w []float64, konst float64, err error) {
 	if a.Query.Objective == nil {
-		return make([]float64, len(candidates)), 0, nil
+		return make([]float64, cols.n), 0, nil
 	}
-	m := &Model{Candidates: candidates, NumTupleVars: len(candidates)}
-	form, err := m.affineForm(a.Query.Objective.Expr)
+	form, err := affineForm(a.Query.Objective.Expr)
 	if err != nil {
 		return nil, 0, fmt.Errorf("translate: objective: %w", err)
 	}
-	w = make([]float64, len(candidates))
-	for key, coef := range form.coeffs {
-		aw, err := m.aggWeights(form.aggs[key])
-		if err != nil {
-			return nil, 0, err
-		}
-		for i, wi := range aw {
-			w[i] += coef * wi
-		}
+	if w, err = cols.affineWeights(form); err != nil {
+		return nil, 0, err
 	}
 	return w, form.konst, nil
 }

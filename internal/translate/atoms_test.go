@@ -14,10 +14,7 @@ func TestConjunctiveAtomsExtraction(t *testing.T) {
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
 		MAXIMIZE SUM(P.protein)`)
 	rows := testRows()
-	atoms, pure, err := ConjunctiveAtoms(a, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atoms, pure := ConjunctiveAtoms(a, NewColumns(a, rows))
 	if !pure {
 		t.Error("pure conjunctive formula should report pure")
 	}
@@ -53,10 +50,7 @@ func TestConjunctiveAtomsImpure(t *testing.T) {
 	a := analyze(t, `
 		SELECT PACKAGE(R) AS P FROM Recipes R
 		SUCH THAT COUNT(*) = 2 AND (SUM(P.calories) <= 600 OR SUM(P.calories) >= 1800)`)
-	atoms, pure, err := ConjunctiveAtoms(a, testRows())
-	if err != nil {
-		t.Fatal(err)
-	}
+	atoms, pure := ConjunctiveAtoms(a, NewColumns(a, testRows()))
 	if pure {
 		t.Error("formula with OR must not report pure")
 	}
@@ -67,18 +61,15 @@ func TestConjunctiveAtomsImpure(t *testing.T) {
 	a2 := analyze(t, `
 		SELECT PACKAGE(R) AS P FROM Recipes R
 		SUCH THAT COUNT(*) = 2 AND AVG(P.calories) <= 500`)
-	atoms2, pure2, err := ConjunctiveAtoms(a2, testRows())
-	if err != nil {
-		t.Fatal(err)
-	}
+	atoms2, pure2 := ConjunctiveAtoms(a2, NewColumns(a2, testRows()))
 	if pure2 || len(atoms2) != 2 {
 		t.Errorf("AVG handling: pure=%v atoms=%d", pure2, len(atoms2))
 	}
 	// nil formula
 	a3 := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R`)
-	atoms3, pure3, err := ConjunctiveAtoms(a3, testRows())
-	if err != nil || !pure3 || atoms3 != nil {
-		t.Errorf("nil formula: %v %v %v", atoms3, pure3, err)
+	atoms3, pure3 := ConjunctiveAtoms(a3, NewColumns(a3, testRows()))
+	if !pure3 || atoms3 != nil {
+		t.Errorf("nil formula: %v %v", atoms3, pure3)
 	}
 }
 
@@ -110,7 +101,7 @@ func TestObjectiveWeights(t *testing.T) {
 		SELECT PACKAGE(R) AS P FROM Recipes R
 		MAXIMIZE 2 * SUM(P.protein) - SUM(P.price) + 10`)
 	rows := testRows()
-	w, konst, err := ObjectiveWeights(a, rows)
+	w, konst, err := ObjectiveWeights(a, NewColumns(a, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +114,7 @@ func TestObjectiveWeights(t *testing.T) {
 	}
 	// no objective -> zero weights
 	a2 := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R`)
-	w2, k2, err := ObjectiveWeights(a2, rows)
+	w2, k2, err := ObjectiveWeights(a2, NewColumns(a2, rows))
 	if err != nil || k2 != 0 {
 		t.Fatalf("no-objective weights: %v %v", k2, err)
 	}
@@ -134,7 +125,7 @@ func TestObjectiveWeights(t *testing.T) {
 	}
 	// non-affine objective errors
 	a3 := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R MAXIMIZE SUM(P.protein) / COUNT(*)`)
-	if _, _, err := ObjectiveWeights(a3, rows); err == nil {
+	if _, _, err := ObjectiveWeights(a3, NewColumns(a3, rows)); err == nil {
 		t.Error("ratio objective should fail")
 	}
 }
@@ -270,8 +261,6 @@ func TestFilteredAvgAndMinMaxFilters(t *testing.T) {
 }
 
 func TestAffineFormErrors(t *testing.T) {
-	rows := testRows()
-	m := &Model{Candidates: rows, NumTupleVars: len(rows)}
 	bad := []string{
 		`SUM(P.calories) * SUM(P.protein)`,
 		`COUNT(*) / SUM(P.protein)`,
@@ -280,13 +269,13 @@ func TestAffineFormErrors(t *testing.T) {
 	}
 	for _, src := range bad {
 		a := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R MAXIMIZE `+src)
-		if _, err := m.affineForm(a.Query.Objective.Expr); err == nil {
+		if _, err := affineForm(a.Query.Objective.Expr); err == nil {
 			t.Errorf("affineForm(%q) should fail", src)
 		}
 	}
 	// modulo is not affine either
 	aMod := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R MAXIMIZE COUNT(*) % 2`)
-	if _, err := m.affineForm(aMod.Query.Objective.Expr); err == nil {
+	if _, err := affineForm(aMod.Query.Objective.Expr); err == nil {
 		t.Error("modulo should fail")
 	}
 }

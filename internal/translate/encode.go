@@ -135,7 +135,7 @@ func (m *Model) encodeAtom(e expr.Expr, ind int) error {
 		return fmt.Errorf("translate: unsupported global atom %s", e)
 	}
 	// Special aggregate on one side vs a constant on the other?
-	if agg, c, op, ok, err := m.specialAtom(b); err != nil {
+	if agg, c, op, ok, err := specialAtom(b); err != nil {
 		return err
 	} else if ok {
 		switch agg.Fn {
@@ -146,29 +146,13 @@ func (m *Model) encodeAtom(e expr.Expr, ind int) error {
 		}
 	}
 	// Affine comparison: L - R ⋛ 0.
-	l, err := m.affineForm(b.L)
+	diff, err := comparisonForm(b)
 	if err != nil {
 		return err
 	}
-	r, err := m.affineForm(b.R)
+	w, err := m.cols.affineWeights(diff)
 	if err != nil {
 		return err
-	}
-	diff := newAffine()
-	diff.addScaled(l, 1)
-	diff.addScaled(r, -1)
-	w := make([]float64, m.NumTupleVars)
-	for key, coef := range diff.coeffs {
-		if coef == 0 {
-			continue
-		}
-		aw, err := m.aggWeights(diff.aggs[key])
-		if err != nil {
-			return err
-		}
-		for i, wi := range aw {
-			w[i] += coef * wi
-		}
 	}
 	rhs := -diff.konst // Σ w·x + konst ⋛ 0  →  Σ w·x ⋛ −konst
 	switch b.Op {
@@ -209,16 +193,16 @@ func constBool(e expr.Expr) (bool, bool) {
 // specialAtom detects `AVG/MIN/MAX(arg) op const` (either orientation),
 // returning the aggregate, the constant, and the op oriented with the
 // aggregate on the left.
-func (m *Model) specialAtom(b *expr.Binary) (*paql.Agg, float64, expr.BinOp, bool, error) {
+func specialAtom(b *expr.Binary) (*paql.Agg, float64, expr.BinOp, bool, error) {
 	if a, ok := b.L.(*paql.Agg); ok && (a.Fn == "AVG" || a.Fn == "MIN" || a.Fn == "MAX") {
-		c, err := m.constSide(b.R)
+		c, err := constSide(b.R)
 		if err != nil {
 			return nil, 0, 0, false, err
 		}
 		return a, c, b.Op, true, nil
 	}
 	if a, ok := b.R.(*paql.Agg); ok && (a.Fn == "AVG" || a.Fn == "MIN" || a.Fn == "MAX") {
-		c, err := m.constSide(b.L)
+		c, err := constSide(b.L)
 		if err != nil {
 			return nil, 0, 0, false, err
 		}
@@ -227,8 +211,8 @@ func (m *Model) specialAtom(b *expr.Binary) (*paql.Agg, float64, expr.BinOp, boo
 	return nil, 0, 0, false, nil
 }
 
-func (m *Model) constSide(e expr.Expr) (float64, error) {
-	f, err := m.affineForm(e)
+func constSide(e expr.Expr) (float64, error) {
+	f, err := affineForm(e)
 	if err != nil {
 		return 0, err
 	}
@@ -241,19 +225,9 @@ func (m *Model) constSide(e expr.Expr) (float64, error) {
 // encodeAvg emits SUM(arg·w) − c·N ⋛ 0 plus the non-empty guard N ≥ 1,
 // where N counts tuples entering the average.
 func (m *Model) encodeAvg(a *paql.Agg, op expr.BinOp, c float64, ind int) error {
-	sum := &paql.Agg{Fn: "SUM", Arg: a.Arg, Filter: a.Filter}
-	sw, err := m.aggWeights(sum)
+	w, cw, err := m.cols.avgWeights(a, c)
 	if err != nil {
 		return err
-	}
-	cnt := &paql.Agg{Fn: "COUNT", Arg: a.Arg, Filter: a.Filter}
-	cw, err := m.aggWeights(cnt)
-	if err != nil {
-		return err
-	}
-	w := make([]float64, m.NumTupleVars)
-	for i := range w {
-		w[i] = sw[i] - c*cw[i]
 	}
 	switch op {
 	case expr.OpLe:
@@ -279,26 +253,14 @@ func (m *Model) encodeAvg(a *paql.Agg, op expr.BinOp, c float64, ind int) error 
 // "Atom coverage").
 func (m *Model) encodeMinMax(a *paql.Agg, op expr.BinOp, c float64, ind int) error {
 	// present_i: tuple contributes to the aggregate at all
-	present, err := m.filterPresence(a)
+	col, err := m.cols.column(a)
 	if err != nil {
 		return err
-	}
-	vals := make([]float64, m.NumTupleVars)
-	for i, row := range m.Candidates {
-		if !present[i] {
-			continue
-		}
-		v, err := a.Arg.Eval(row)
-		if err != nil {
-			return err
-		}
-		f, _ := v.AsFloat()
-		vals[i] = f
 	}
 	selector := func(pred func(float64) bool) []float64 {
 		w := make([]float64, m.NumTupleVars)
 		for i := range w {
-			if present[i] && pred(vals[i]) {
+			if col.present[i] && pred(col.vals[i]) {
 				w[i] = 1
 			}
 		}
@@ -341,34 +303,6 @@ func (m *Model) encodeMinMax(a *paql.Agg, op expr.BinOp, c float64, ind int) err
 		return m.addRow(good, lp.GE, 1, ind)
 	}
 	return fmt.Errorf("translate: %s %s has no exact linear form", a.Fn, op)
-}
-
-// filterPresence marks candidates whose argument is non-NULL and whose
-// filter passes.
-func (m *Model) filterPresence(a *paql.Agg) ([]bool, error) {
-	out := make([]bool, m.NumTupleVars)
-	for i, row := range m.Candidates {
-		if a.Filter != nil {
-			ok, err := expr.EvalBool(a.Filter, row)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if a.Arg != nil {
-			v, err := a.Arg.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-		}
-		out[i] = true
-	}
-	return out, nil
 }
 
 // addRow emits Σ w·x (op) rhs, optionally big-M-linked to an indicator.

@@ -6,7 +6,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/lp"
 	"repro/internal/paql"
-	"repro/internal/schema"
 )
 
 // DefaultMaxSketchBranches caps the disjunctive-normal-form expansion
@@ -95,13 +94,12 @@ func CompileSketch(a *paql.Analysis, maxBranches int) (branches []SketchBranch, 
 	if err != nil {
 		return nil, 0, err
 	}
-	probe := &Model{}
 	rewritten := map[*bAtom]bool{}
 	for _, rb := range raw {
 		atoms := make([]*SketchAtom, 0, len(rb))
 		drop := false
 		for _, ba := range rb {
-			lowered, dropBranch, wasRewrite, err := lowerSketchAtom(probe, ba.e)
+			lowered, dropBranch, wasRewrite, err := lowerSketchAtom(ba.e)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -170,7 +168,7 @@ func dnfBranches(n bnode, cap int) ([][]*bAtom, error) {
 // sketch atoms. dropBranch reports a constant-false atom (the branch is
 // unsatisfiable); wasRewrite reports an AVG/MIN/MAX rewrite. Errors
 // name the offending atom.
-func lowerSketchAtom(probe *Model, e expr.Expr) (atoms []*SketchAtom, dropBranch, wasRewrite bool, err error) {
+func lowerSketchAtom(e expr.Expr) (atoms []*SketchAtom, dropBranch, wasRewrite bool, err error) {
 	if v, ok := constBool(e); ok {
 		return nil, !v, false, nil
 	}
@@ -178,7 +176,7 @@ func lowerSketchAtom(probe *Model, e expr.Expr) (atoms []*SketchAtom, dropBranch
 	if !ok || !b.Op.Comparison() {
 		return nil, false, false, fmt.Errorf("atom %s is not a comparison over aggregates", e)
 	}
-	agg, c, op, special, err := probe.specialAtom(b)
+	agg, c, op, special, err := specialAtom(b)
 	if err != nil {
 		return nil, false, false, fmt.Errorf("atom %s blocks SketchRefine: %w", e, err)
 	}
@@ -199,7 +197,7 @@ func lowerSketchAtom(probe *Model, e expr.Expr) (atoms []*SketchAtom, dropBranch
 			return lowerMinMax(agg, op, c, e, src)
 		}
 	}
-	if _, ok := probe.linearAtom(b); !ok {
+	if _, err := comparisonForm(b); err != nil {
 		return nil, false, false, fmt.Errorf("atom %s is not an affine SUM/COUNT comparison (no linear form)", e)
 	}
 	return []*SketchAtom{{Kind: SketchLinear, cmp: b, src: src}}, false, false, nil
@@ -238,36 +236,36 @@ func lowerMinMax(agg *paql.Agg, op expr.BinOp, c float64, e expr.Expr, src strin
 	return nil, false, false, fmt.Errorf("atom %s blocks SketchRefine: %s with %s has no exact linear form", e, agg.Fn, op)
 }
 
-// Weigh compiles the atom into exact linear rows over the given
-// candidate rows. Calling it with the instance's real tuples yields the
-// rows the refine MILPs and the final feasibility check enforce;
-// calling it with representative rows yields a sketch level's
-// approximation for the non-selector kinds (selector kinds weigh their
-// 0/1 predicate over whatever rows they are given — partition levels
-// should re-weight them from subtree envelopes instead).
-func (at *SketchAtom) Weigh(cands []schema.Row) ([]*LinearAtom, error) {
-	m := &Model{Candidates: cands, NumTupleVars: len(cands)}
+// Weigh compiles the atom into exact linear rows over the rows the
+// columns were built from: over the candidates, the rows the refine
+// MILPs and the final feasibility check enforce; over a level's
+// representatives, that level's approximation of the non-selector
+// kinds (partition levels re-weight selectors from subtree envelopes).
+func (at *SketchAtom) Weigh(cols *Columns) ([]*LinearAtom, error) {
 	switch at.Kind {
 	case SketchLinear:
-		return m.sketchLinearRows(at.cmp)
+		// Strict comparisons are tightened by the shared epsilon, not
+		// relaxed to their closed forms: sketch branches need
+		// sufficient conditions (a package passing the rows satisfies
+		// the formula), where ConjunctiveAtoms only needs necessary
+		// ones.
+		rows, ok := linearAtom(cols, at.cmp)
+		if !ok {
+			return nil, fmt.Errorf("atom %s is not an affine SUM/COUNT comparison", at.cmp)
+		}
+		switch at.cmp.Op {
+		case expr.OpLt:
+			rows[0].RHS -= eps(rows[0].RHS)
+		case expr.OpGt:
+			rows[0].RHS += eps(rows[0].RHS)
+		}
+		return rows, nil
 	case SketchAvg:
-		sum := &paql.Agg{Fn: "SUM", Arg: at.agg.Arg, Filter: at.agg.Filter}
-		sw, err := m.aggWeights(sum)
+		// The same weights as encodeAvg: COUNT(*) weights would let
+		// NULL-argument tuples shift the rewritten average.
+		w, _, err := cols.avgWeights(at.agg, at.c)
 		if err != nil {
 			return nil, err
-		}
-		// COUNT over the argument, exactly like encodeAvg: a NULL
-		// argument contributes to neither the sum nor the count, so its
-		// weight must be 0 — COUNT(*) weights would let NULL tuples
-		// shift the rewritten average.
-		cnt := &paql.Agg{Fn: "COUNT", Arg: at.agg.Arg, Filter: at.agg.Filter}
-		cw, err := m.aggWeights(cnt)
-		if err != nil {
-			return nil, err
-		}
-		w := make([]float64, m.NumTupleVars)
-		for i := range w {
-			w[i] = sw[i] - at.c*cw[i]
 		}
 		row := &LinearAtom{W: w, Source: at.src}
 		switch at.op {
@@ -284,32 +282,13 @@ func (at *SketchAtom) Weigh(cands []schema.Row) ([]*LinearAtom, error) {
 		}
 		return []*LinearAtom{row}, nil
 	case SketchElim, SketchAtLeast:
-		sel, err := at.Selector(cands)
+		sel, err := at.Selector(cols)
 		if err != nil {
 			return nil, err
 		}
 		return []*LinearAtom{sel.TupleAtom()}, nil
 	}
 	return nil, fmt.Errorf("unknown sketch atom kind %d", at.Kind)
-}
-
-// sketchLinearRows is linearAtom with strict comparisons tightened by
-// the shared epsilon instead of relaxed to their closed forms: sketch
-// branches need sufficient conditions (a package passing the rows must
-// satisfy the formula), where ConjunctiveAtoms only needs necessary
-// ones.
-func (m *Model) sketchLinearRows(b *expr.Binary) ([]*LinearAtom, error) {
-	rows, ok := m.linearAtom(b)
-	if !ok {
-		return nil, fmt.Errorf("atom %s is not an affine SUM/COUNT comparison", b)
-	}
-	switch b.Op {
-	case expr.OpLt:
-		rows[0].RHS -= eps(rows[0].RHS)
-	case expr.OpGt:
-		rows[0].RHS += eps(rows[0].RHS)
-	}
-	return rows, nil
 }
 
 // Selector is the per-candidate view of a selector atom
@@ -330,39 +309,25 @@ type Selector struct {
 	Source  string
 }
 
-// Selector computes the selector view of the atom over the candidates.
-// It errors on non-selector kinds.
-func (at *SketchAtom) Selector(cands []schema.Row) (*Selector, error) {
+// Selector returns the selector view of the atom over the rows the
+// columns were built from; Present and Vals are the shared column
+// slices. It errors on non-selector kinds.
+func (at *SketchAtom) Selector(cols *Columns) (*Selector, error) {
 	if !at.IsSelector() {
 		return nil, fmt.Errorf("atom %s is not a selector", at.src)
 	}
-	m := &Model{Candidates: cands, NumTupleVars: len(cands)}
-	present, err := m.filterPresence(at.agg)
+	col, err := cols.column(at.agg)
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]float64, len(cands))
-	if at.agg.Arg != nil {
-		for i, row := range cands {
-			if !present[i] {
-				continue
-			}
-			v, err := at.agg.Arg.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			f, _ := v.AsFloat()
-			vals[i] = f
-		}
-	}
-	col := -1
-	if at.agg.Filter == nil && at.agg.Arg != nil {
-		if c, ok := at.agg.Arg.(*expr.Col); ok {
-			col = c.Idx
+	c := -1
+	if at.agg.Filter == nil {
+		if ac, ok := at.agg.Arg.(*expr.Col); ok {
+			c = ac.Idx
 		}
 	}
 	return &Selector{
-		Kind: at.Kind, Present: present, Vals: vals, Col: col,
+		Kind: at.Kind, Present: col.present, Vals: col.vals, Col: c,
 		All: at.all, Op: at.op, C: at.c, Source: at.src,
 	}, nil
 }

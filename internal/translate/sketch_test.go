@@ -6,15 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/lp"
+	"repro/internal/paql"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
 
-func sketchRows(t *testing.T, br SketchBranch, cands []schema.Row) []*LinearAtom {
+func sketchRows(t *testing.T, a *paql.Analysis, br SketchBranch, cands []schema.Row) []*LinearAtom {
 	t.Helper()
+	cols := NewColumns(a, cands)
 	var out []*LinearAtom
 	for _, at := range br.Atoms {
-		rows, err := at.Weigh(cands)
+		rows, err := at.Weigh(cols)
 		if err != nil {
 			t.Fatalf("weigh %s: %v", at.Source(), err)
 		}
@@ -38,10 +40,10 @@ func TestCompileSketchPureConjunctionMatchesConjunctiveAtoms(t *testing.T) {
 	if len(branches) != 1 || rewrites != 0 {
 		t.Fatalf("branches=%d rewrites=%d, want 1 and 0", len(branches), rewrites)
 	}
-	got := sketchRows(t, branches[0], cands)
-	want, pure, err := ConjunctiveAtoms(a, cands)
-	if err != nil || !pure {
-		t.Fatalf("ConjunctiveAtoms pure=%v err=%v", pure, err)
+	got := sketchRows(t, a, branches[0], cands)
+	want, pure := ConjunctiveAtoms(a, NewColumns(a, cands))
+	if !pure {
+		t.Fatal("ConjunctiveAtoms: pure conjunction reported impure")
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d sketch rows for %d conjunctive atoms", len(got), len(want))
@@ -73,7 +75,7 @@ func TestCompileSketchAvgRewrite(t *testing.T) {
 	if len(branches) != 1 || rewrites != 1 {
 		t.Fatalf("branches=%d rewrites=%d, want 1 and 1", len(branches), rewrites)
 	}
-	rows := sketchRows(t, branches[0], cands)
+	rows := sketchRows(t, a, branches[0], cands)
 	if len(rows) != 2 {
 		t.Fatalf("AVG atom lowered to %d rows, want 2 (main + guard)", len(rows))
 	}
@@ -109,7 +111,7 @@ func TestCompileSketchAvgNullArgumentWeighsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := sketchRows(t, branches[0], cands)
+	rows := sketchRows(t, a, branches[0], cands)
 	main := rows[0]
 	if main.W[0] != 10-5 {
 		t.Errorf("non-NULL tuple weight %g, want 5", main.W[0])
@@ -159,7 +161,7 @@ func TestCompileSketchMinMaxLowering(t *testing.T) {
 			if len(branches) != 1 || rewrites != 1 {
 				t.Fatalf("branches=%d rewrites=%d, want 1 and 1", len(branches), rewrites)
 			}
-			rows := sketchRows(t, branches[0], cands)
+			rows := sketchRows(t, a, branches[0], cands)
 			if len(rows) != tc.wantRows {
 				t.Fatalf("%d rows, want %d", len(rows), tc.wantRows)
 			}
@@ -254,7 +256,7 @@ func TestSelectorEnvelopeFastPathMetadata(t *testing.T) {
 	var sels []*Selector
 	for _, at := range branches[0].Atoms {
 		if at.IsSelector() {
-			sel, err := at.Selector(cands)
+			sel, err := at.Selector(NewColumns(a, cands))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,7 +297,7 @@ func TestSketchLinearStrictOpsTightened(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := []schema.Row{mkRow(1, 700, 30, "a", 1)}
-	rows := sketchRows(t, branches[0], cands)
+	rows := sketchRows(t, a, branches[0], cands)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rows))
 	}

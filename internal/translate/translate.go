@@ -34,11 +34,11 @@ import (
 type Model struct {
 	MILP         *milp.Problem
 	Query        *paql.Query
-	Candidates   []schema.Row // candidate tuples (those passing WHERE)
-	CandidateIDs []int        // base-table row ids, parallel to Candidates
-	NumTupleVars int          // tuple variables come first; indicators follow
-	MaxMult      int          // per-tuple multiplicity cap (0 = unlimited)
+	CandidateIDs []int // base-table row id of each tuple variable
+	NumTupleVars int   // tuple variables come first; indicators follow
+	MaxMult      int   // per-tuple multiplicity cap (0 = unlimited)
 
+	cols       *Columns // the candidates' aggregate columns
 	lpp        *lp.Problem
 	indicators int
 }
@@ -46,7 +46,8 @@ type Model struct {
 // Translate compiles an analyzed, linear query over the given candidate
 // tuples. candidates[i] must be full relation rows (aggregate arguments
 // are bound against the relation schema). ids are the matching
-// base-table row ids.
+// base-table row ids. Aggregate arguments are evaluated once per
+// candidate, through the Columns every row reads its weights from.
 func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, error) {
 	if !a.Linear {
 		return nil, fmt.Errorf("translate: query is not linear: %v", a.NonlinearReasons)
@@ -69,9 +70,9 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 	}
 	p := lp.NewProblem(n + extra)
 	m := &Model{
-		MILP: milp.NewProblem(p), Query: q,
-		Candidates: candidates, CandidateIDs: ids,
-		NumTupleVars: n, MaxMult: maxMult, lpp: p,
+		MILP: milp.NewProblem(p), Query: q, CandidateIDs: ids,
+		NumTupleVars: n, MaxMult: maxMult,
+		cols: NewColumns(a, candidates), lpp: p,
 	}
 	for i := 0; i < n; i++ {
 		up := lp.Inf
@@ -87,20 +88,12 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 
 	// Objective.
 	if q.Objective != nil {
-		form, err := m.affineForm(q.Objective.Expr)
+		w, _, err := ObjectiveWeights(a, m.cols)
 		if err != nil {
-			return nil, fmt.Errorf("translate: objective: %w", err)
+			return nil, err
 		}
 		obj := make([]float64, p.NumVars())
-		for key, coef := range form.coeffs {
-			w, err := m.aggWeights(form.aggs[key])
-			if err != nil {
-				return nil, err
-			}
-			for i, wi := range w {
-				obj[i] += coef * wi
-			}
-		}
+		copy(obj, w)
 		sense := lp.Maximize
 		if q.Objective.Sense == paql.Minimize {
 			sense = lp.Minimize
@@ -223,7 +216,7 @@ func (f *affine) isConst() bool {
 // affineForm decomposes a numeric global expression into Σ coef·agg +
 // const. Only COUNT and SUM aggregates may appear (AVG/MIN/MAX are
 // handled at the comparison level).
-func (m *Model) affineForm(e expr.Expr) (*affine, error) {
+func affineForm(e expr.Expr) (*affine, error) {
 	switch n := e.(type) {
 	case *expr.Const:
 		f := newAffine()
@@ -246,7 +239,7 @@ func (m *Model) affineForm(e expr.Expr) (*affine, error) {
 		f.aggs[key] = n
 		return f, nil
 	case *expr.Neg:
-		f, err := m.affineForm(n.X)
+		f, err := affineForm(n.X)
 		if err != nil {
 			return nil, err
 		}
@@ -254,11 +247,11 @@ func (m *Model) affineForm(e expr.Expr) (*affine, error) {
 		out.addScaled(f, -1)
 		return out, nil
 	case *expr.Binary:
-		l, err := m.affineForm(n.L)
+		l, err := affineForm(n.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := m.affineForm(n.R)
+		r, err := affineForm(n.R)
 		if err != nil {
 			return nil, err
 		}
@@ -308,50 +301,4 @@ func (m *Model) affineForm(e expr.Expr) (*affine, error) {
 		return f, nil
 	}
 	return nil, fmt.Errorf("translate: expression %s is not affine", e)
-}
-
-// aggWeights computes the per-candidate contribution of a SUM/COUNT
-// aggregate: 0 when the filter rejects the tuple or the argument is
-// NULL, otherwise 1 (COUNT) or the argument value (SUM).
-func (m *Model) aggWeights(a *paql.Agg) ([]float64, error) {
-	w := make([]float64, m.NumTupleVars)
-	for i, row := range m.Candidates {
-		if a.Filter != nil {
-			ok, err := expr.EvalBool(a.Filter, row)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if a.Star {
-			w[i] = 1
-			continue
-		}
-		v, err := a.Arg.Eval(row)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if a.Fn == "COUNT" {
-			w[i] = 1
-			continue
-		}
-		f, ok := v.AsFloat()
-		if !ok {
-			return nil, fmt.Errorf("translate: non-numeric value %s under %s", v, a)
-		}
-		w[i] = f
-	}
-	return w, nil
-}
-
-// filterWeights is aggWeights for the COUNT(*) of an aggregate's filter
-// (used by AVG and MIN/MAX guards).
-func (m *Model) filterWeights(a *paql.Agg) ([]float64, error) {
-	count := &paql.Agg{Fn: "COUNT", Star: true, Filter: a.Filter}
-	return m.aggWeights(count)
 }
