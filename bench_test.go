@@ -440,11 +440,10 @@ func BenchmarkE13_PlannerVsHandSet(b *testing.B) {
 	handOpts := func(db *minidb.DB) core.Options {
 		return core.Options{Strategy: core.SketchRefineStrategy, Seed: 1,
 			SketchPartitionSize: 64, SketchDepth: 1, SketchParallelism: 1,
-			SketchIncremental: false, SketchIncrementalSet: true,
 			SketchCache: sketch.NewCache(0), SketchMemo: core.NewFingerprintMemo()}
 	}
 	planOpts := func(db *minidb.DB) core.Options {
-		return core.Options{Seed: 1, SketchCache: sketch.NewCache(0),
+		return core.Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0),
 			SketchMemo: core.NewFingerprintMemo(), Catalog: catalog.New(db)}
 	}
 	for _, v := range []struct {
@@ -488,8 +487,15 @@ func BenchmarkE13_PlannerVsHandSet(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := prep.RunContext(context.Background(), opts); err != nil {
+				res, err := prep.RunContext(context.Background(), opts)
+				if err != nil {
 					b.Fatal(err)
+				}
+				// The headline: the planner patches the stale tree, the
+				// hand-set defaults rebuild it.
+				if want := v.name == "planner"; i == 0 && res.Stats.SketchTreePatched != want {
+					b.Fatalf("%s: first run after the write patched=%v, want %v (notes: %v)",
+						v.name, res.Stats.SketchTreePatched, want, res.Stats.Notes)
 				}
 			}
 		})

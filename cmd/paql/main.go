@@ -31,9 +31,10 @@
 // branch and rewrite counts).
 //
 // In the REPL, INSERT/DELETE statements between package queries patch
-// the cached partition tree in place instead of forcing a rebuild
-// (-sketch-incr, on by default), and repeat queries over unchanged
-// tables skip candidate fingerprint hashing entirely.
+// the cached partition tree in place instead of forcing a rebuild (the
+// planner decides; -sketch-incr=false forces rebuilds), and repeat
+// queries over unchanged tables skip candidate fingerprint hashing
+// entirely.
 //
 // With no explicit strategy or knob flags, a cost-based planner picks
 // the strategy, partition size, tree depth, parallelism and
@@ -100,7 +101,7 @@ func main() {
 	sketchCache := flag.Bool("sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
 	sketchPar := flag.Int("sketch-par", 0, "sketch-refine worker count (0 = one per CPU, 1 = serial)")
 	sketchDir := flag.String("sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
-	sketchIncr := flag.Bool("sketch-incr", true, "patch cached sketch-refine partition trees in place after INSERT/DELETE instead of rebuilding (REPL sessions)")
+	sketchIncr := flag.Bool("sketch-incr", true, "permit patching cached sketch-refine partition trees in place after INSERT/DELETE (REPL sessions; the planner decides, false forces rebuilds)")
 	explain := flag.Bool("explain", false, "plan the query — print the strategy and knob decisions — without executing it")
 	timeout := flag.Duration("timeout", 0, "per-query soft time budget; best-effort packages at expiry (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
@@ -112,14 +113,6 @@ func main() {
 		fmt.Fprint(out, exitCodeTable)
 	}
 	flag.Parse()
-	// Only an explicit -sketch-incr on the command line forces the
-	// patch-vs-rebuild choice; otherwise the planner decides per query.
-	sketchIncrSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "sketch-incr" {
-			sketchIncrSet = true
-		}
-	})
 
 	sys := pb.New()
 	for _, spec := range csvs {
@@ -163,8 +156,7 @@ func main() {
 		sketchSize: *sketchSize, sketchParts: *sketchParts,
 		sketchDepth: *sketchDepth, sketchCache: *sketchCache,
 		sketchPar: *sketchPar, sketchDir: *sketchDir, sketchIncr: *sketchIncr,
-		sketchIncrSet: sketchIncrSet, explain: *explain,
-		timeout: *timeout, memBudget: *memBudget, maxGap: *maxGap,
+		explain: *explain, timeout: *timeout, memBudget: *memBudget, maxGap: *maxGap,
 	}
 	if text == "" {
 		repl(sys, cli)
@@ -186,22 +178,21 @@ func main() {
 
 // cliOpts carries the evaluation flags shared by one-shot and REPL use.
 type cliOpts struct {
-	strategy      string
-	limit         int
-	diverse       bool
-	seed          int64
-	sketchSize    int
-	sketchParts   int
-	sketchDepth   int
-	sketchCache   bool
-	sketchPar     int
-	sketchDir     string
-	sketchIncr    bool
-	sketchIncrSet bool
-	explain       bool
-	timeout       time.Duration
-	memBudget     int64
-	maxGap        float64
+	strategy    string
+	limit       int
+	diverse     bool
+	seed        int64
+	sketchSize  int
+	sketchParts int
+	sketchDepth int
+	sketchCache bool
+	sketchPar   int
+	sketchDir   string
+	sketchIncr  bool
+	explain     bool
+	timeout     time.Duration
+	memBudget   int64
+	maxGap      float64
 }
 
 func runQuery(ctx context.Context, sys *pb.System, text string, cli cliOpts) {
@@ -317,9 +308,7 @@ func buildOpts(cli cliOpts) ([]pb.Option, error) {
 		opts = append(opts, pb.WithSketchPersistDir(cli.sketchDir))
 	}
 	opts = append(opts, pb.WithSketchCache(cli.sketchCache))
-	if cli.sketchIncrSet {
-		opts = append(opts, pb.WithSketchIncremental(cli.sketchIncr))
-	}
+	opts = append(opts, pb.WithSketchIncremental(cli.sketchIncr))
 	if cli.timeout > 0 {
 		opts = append(opts, pb.WithTimeout(cli.timeout))
 	}

@@ -58,17 +58,13 @@ type server struct {
 	// memo is the engine-level candidate-fingerprint memo shared with
 	// cache: warm sketch evaluations over unchanged data hash zero
 	// candidate rows, and after writes the delta lineage it tracks lets
-	// the cached tree be patched in place (incremental maintenance,
-	// -sketch-incr).
+	// the cached tree be patched in place (incremental maintenance).
 	memo *core.FingerprintMemo
 	// persistDir, when non-empty, backs the cache with an on-disk tree
 	// store (-sketch-dir): a server restart then skips the offline
 	// partitioning step. It is a server flag, never request data — a
 	// client must not choose where the server writes.
 	persistDir string
-	// incremental is the -sketch-incr server default; a request's
-	// sketchIncr field can switch tree patching off per query.
-	incremental bool
 	// cat is the table-statistics catalog the cost-based planner reads:
 	// row counts, attribute stats and write rates from the delta log.
 	cat *catalog.Catalog
@@ -126,9 +122,9 @@ func requestID(r *http.Request) string {
 // partition-tree cache and fingerprint memo, persisting trees under
 // persistDir when set. The admission controller starts with the flag
 // defaults; main overrides it from -max-inflight/-max-queue.
-func newServer(db *minidb.DB, persistDir string, incremental bool) *server {
+func newServer(db *minidb.DB, persistDir string) *server {
 	return &server{db: db, cache: sketch.NewCache(0), memo: core.NewFingerprintMemo(),
-		persistDir: persistDir, incremental: incremental, cat: catalog.New(db),
+		persistDir: persistDir, cat: catalog.New(db),
 		adm: lifecycle.NewController(4, 16), health: lifecycle.NewHealth()}
 }
 
@@ -186,7 +182,6 @@ func main() {
 	n := flag.Int("n", 500, "recipe count")
 	seed := flag.Int64("seed", 42, "dataset seed")
 	sketchDir := flag.String("sketch-dir", "", "persist sketch-refine partition trees to this directory (survives restarts)")
-	sketchIncr := flag.Bool("sketch-incr", true, "patch cached sketch-refine partition trees in place after writes instead of rebuilding")
 	maxInFlight := flag.Int("max-inflight", 4, "concurrent solves admitted; excess requests queue")
 	maxQueue := flag.Int("max-queue", 16, "queued solves before shedding with 429")
 	memBudget := flag.Int64("mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
@@ -198,7 +193,7 @@ func main() {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: *n, Seed: *seed}); err != nil {
 		log.Fatal(err)
 	}
-	s := newServer(db, *sketchDir, *sketchIncr)
+	s := newServer(db, *sketchDir)
 	s.adm = lifecycle.NewController(*maxInFlight, *maxQueue)
 	s.memBudget = *memBudget
 	s.timeout = *timeout
@@ -375,12 +370,13 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 
 // options returns the server-wide evaluation options every solve
 // shares: the fixed seed, the shared tree cache, fingerprint memo and
-// catalog, the -sketch-dir and -sketch-incr defaults, and the
-// per-query lifecycle limits (the soft time budget, which a hard ctx
-// deadline trails, and the memory-admission gate).
+// catalog, the -sketch-dir store, tree patching permitted (the planner
+// decides patch-vs-rebuild), and the per-query lifecycle limits (the
+// soft time budget, which a hard ctx deadline trails, and the
+// memory-admission gate).
 func (s *server) options() core.Options {
 	return core.Options{Seed: 1, SketchCache: s.cache, SketchMemo: s.memo,
-		SketchPersistDir: s.persistDir, SketchIncremental: s.incremental,
+		SketchPersistDir: s.persistDir, SketchIncremental: true,
 		Catalog: s.cat, Timeout: s.timeout, MemoryBudget: s.memBudget}
 }
 
@@ -390,7 +386,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Strategy    string `json:"strategy"`    // "", "auto", "solver", "sketch-refine", ...
 		SketchDepth int    `json:"sketchDepth"` // 0/1 = flat, >=2 hierarchical
 		SketchPar   int    `json:"sketchPar"`   // sketch workers: 0 = one per CPU, 1 = serial
-		SketchIncr  *bool  `json:"sketchIncr"`  // tree patching after writes; nil = server default
 		Explain     bool   `json:"explain"`     // plan only: return the decision trail, don't execute
 	}
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -400,12 +395,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts := s.options()
 	opts.SketchDepth = req.SketchDepth
 	opts.SketchParallelism = req.SketchPar
-	if req.SketchIncr != nil {
-		// Only an explicit request field forces patch-vs-rebuild; the
-		// server default leaves the planner in charge.
-		opts.SketchIncremental = *req.SketchIncr
-		opts.SketchIncrementalSet = true
-	}
 	if req.Strategy != "" {
 		st, err := core.ParseStrategy(req.Strategy)
 		if err != nil {

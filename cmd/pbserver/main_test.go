@@ -21,7 +21,7 @@ func testServer(t *testing.T) *server {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 80, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	return newServer(db, "", true)
+	return newServer(db, "")
 }
 
 const demoQuery = `SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free'

@@ -15,7 +15,11 @@
 //     SketchRefine (internal/sketch) — solve a small sketch over
 //     partition representatives, then refine per partition; heuristic
 //     but fast at large n.
-//   - Auto: pick by linearity and scale.
+//   - Auto: the cost-based planner (internal/plan) picks by linearity,
+//     scale and cache state. The planner also replaces a forced
+//     strategy the query cannot run (the solver on a non-linear query,
+//     SketchRefine the sketch compiler refuses), and the engine runs
+//     whatever the plan says.
 package core
 
 import (
@@ -42,7 +46,7 @@ import (
 type Strategy int
 
 const (
-	// Auto lets the engine choose (linearity- and scale-driven).
+	// Auto lets the cost-based planner choose.
 	Auto Strategy = iota
 	// BruteForceStrategy enumerates every multiplicity vector.
 	BruteForceStrategy
@@ -99,10 +103,13 @@ func ParseStrategy(name string) (Strategy, error) {
 
 // Options tunes evaluation.
 type Options struct {
+	// Strategy forces an evaluation strategy (Auto = the planner's
+	// pick). The planner overrides a forced strategy only when the
+	// query cannot run under it, and the run notes the fallback.
 	Strategy Strategy
-	// Planner overrides the cost-based planner RunContext consults for
-	// strategy and knob defaults (nil = a planner with the stock cost
-	// model). Explicitly-set options always win over its decisions.
+	// Planner overrides the cost-based planner whose plan RunContext
+	// executes (nil = a planner with the stock cost model). Explicitly
+	// set options enter the plan as forced knobs.
 	Planner *plan.Planner
 	// Catalog, when set, feeds the planner per-table statistics (row
 	// counts, write rate, delta fraction). Without one the planner
@@ -157,20 +164,15 @@ type Options struct {
 	// only the delta is hashed. System and pbserver share one memo
 	// across queries, next to the partition-tree cache.
 	SketchMemo *FingerprintMemo
-	// SketchIncremental enables incremental partition-tree maintenance
+	// SketchIncremental permits incremental partition-tree maintenance
 	// (requires SketchMemo): after writes, the cached tree for the
-	// pre-write data is patched in place via sketch.ApplyDelta —
+	// pre-write data may be patched in place via sketch.ApplyDelta —
 	// deletions tombstoned, insertions routed to their leaves,
 	// overgrown leaves split, representatives and envelopes refreshed
 	// bottom-up — instead of rebuilt from scratch, and the persisted
-	// tree is re-saved atomically.
+	// tree is re-saved atomically. With it set the planner decides
+	// patch-vs-rebuild from the table's delta; false forces a rebuild.
 	SketchIncremental bool
-	// SketchIncrementalSet marks SketchIncremental as explicitly chosen
-	// by the user: the planner's patch-vs-rebuild decision then leaves
-	// it alone and records the value as forced. Callers that default
-	// the knob (packagebuilder, pbserver's server-wide flag) leave this
-	// false so the planner stays in charge.
-	SketchIncrementalSet bool
 	// SketchParallelism caps the workers SketchRefine's offline
 	// partitioning and per-partition solves fan out across: 0 = one per
 	// CPU, 1 = fully serial. Results are identical at every setting.

@@ -131,26 +131,40 @@ func TestAutoFallsBackForNonlinear(t *testing.T) {
 	}
 }
 
+// TestSolverRequestedForNonlinearFallsBack: a forced strategy the
+// query cannot run is replaced in the plan itself, and the engine runs
+// exactly what the plan says.
 func TestSolverRequestedForNonlinearFallsBack(t *testing.T) {
 	db := testDB(t)
 	q := `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 2 AND SUM(P.calories) * SUM(P.protein) <= 50000`
-	res, err := EvaluateContext(context.Background(), db, q, Options{Strategy: Solver})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Strategy == Solver {
-		t.Error("solver cannot run non-linear queries; engine should fall back")
-	}
-	noteOK := false
-	for _, n := range res.Stats.Notes {
-		if strings.Contains(n, "falling back") {
-			noteOK = true
-		}
-	}
-	if !noteOK {
-		t.Errorf("fallback not explained: %v", res.Stats.Notes)
+	for _, forced := range []Strategy{Solver, SketchRefineStrategy} {
+		t.Run(forced.String(), func(t *testing.T) {
+			res, err := EvaluateContext(context.Background(), db, q, Options{Strategy: forced})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Strategy == forced {
+				t.Errorf("%s cannot run non-linear queries; engine should fall back", forced)
+			}
+			if got, want := res.Stats.Strategy.String(), res.Stats.Plan.Strategy; got != want {
+				t.Errorf("ran %s, plan says %s", got, want)
+			}
+			d := res.Stats.Plan.Decision("strategy")
+			if d == nil || d.Forced || !strings.Contains(d.Reason, "explicit "+forced.String()+" unavailable") {
+				t.Errorf("plan's strategy decision does not record the replaced %s: %+v", forced, d)
+			}
+			noteOK := false
+			for _, n := range res.Stats.Notes {
+				if strings.Contains(n, "falling back") {
+					noteOK = true
+				}
+			}
+			if !noteOK {
+				t.Errorf("fallback not explained: %v", res.Stats.Notes)
+			}
+		})
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 // This file is the bridge between the engine and internal/plan: it
 // snapshots a Prepared query plus its Options into a plan.Input (table
 // statistics from the catalog, atom mix from the query planner, forced
-// knobs from explicit options, cache state from a live probe) and maps
-// the resulting plan back onto the engine's Strategy and sketch knobs.
-// All strategy heuristics formerly in chooseStrategy live in
-// internal/plan now; core only translates.
+// knobs from explicit options, cache state from a live probe). The
+// resulting plan is what RunContext executes: its strategy and sketch
+// knobs, never the options they were derived from. All strategy
+// heuristics and fallbacks live in internal/plan; core only translates.
 
 // Plan runs the cost-based planner over the prepared query under the
 // given options and returns the decision trail — without executing
@@ -81,9 +81,8 @@ func (p *Prepared) forcedKnobs(opts Options) plan.Forced {
 			NumPartitions:    opts.SketchPartitions,
 		}.EffectiveTau(len(p.Instance.Rows))
 	}
-	if opts.SketchIncrementalSet {
-		inc := opts.SketchIncremental
-		f.Incremental = &inc
+	if !opts.SketchIncremental {
+		f.Incremental = new(bool) // patching not permitted: force a rebuild
 	}
 	return f
 }
@@ -174,34 +173,4 @@ func (p *Prepared) sketchTiers(opts Options) (*sketch.Cache, *FingerprintMemo) {
 		memo = p.SketchMemo
 	}
 	return cache, memo
-}
-
-// applyPlan maps a plan onto the options: the strategy when the user
-// left it on Auto, and each sketch knob the user did not set
-// explicitly. Forced values pass through untouched — the plan already
-// echoes them.
-func applyPlan(opts *Options, qp *plan.Plan) (Strategy, error) {
-	strat := opts.Strategy
-	if strat == Auto {
-		var err error
-		strat, err = ParseStrategy(qp.Strategy)
-		if err != nil {
-			return Auto, err
-		}
-	}
-	if qp.Strategy == plan.StrategySketch || strat == SketchRefineStrategy {
-		if opts.SketchPartitionSize == 0 && opts.SketchPartitions == 0 && qp.Tau > 0 {
-			opts.SketchPartitionSize = qp.Tau
-		}
-		if opts.SketchDepth == 0 && qp.Depth > 0 {
-			opts.SketchDepth = qp.Depth
-		}
-		if opts.SketchParallelism == 0 && qp.Parallelism > 0 {
-			opts.SketchParallelism = qp.Parallelism
-		}
-		if !opts.SketchIncrementalSet {
-			opts.SketchIncremental = qp.Incremental
-		}
-	}
-	return strat, nil
 }

@@ -28,14 +28,15 @@ import (
 // hard cancellation is the backstop for any path that ignores them.
 const timeoutGrace = 250 * time.Millisecond
 
-// RunContext evaluates the prepared query under a context. Strategy
-// and sketch-knob defaults come from the cost-based planner
-// (internal/plan); explicitly-set options always win. The context is
-// checked cooperatively throughout — candidate scans, enumeration,
-// every MILP branch-and-bound node and simplex iteration, partition
-// builds, sketch descents, and refine waves — so cancellation returns
-// promptly even mid-solve over millions of candidates, with partial
-// work discarded and shared tree caches left consistent.
+// RunContext evaluates the prepared query under a context. It runs the
+// cost-based planner's plan (internal/plan) as decided — its strategy
+// and sketch knobs; explicitly set options enter the plan as forced
+// knobs. The context is checked cooperatively throughout — candidate
+// scans, enumeration, every MILP branch-and-bound node and simplex
+// iteration, partition builds, sketch descents, and refine waves — so
+// cancellation returns promptly even mid-solve over millions of
+// candidates, with partial work discarded and shared tree caches left
+// consistent.
 //
 // Outcomes map onto the lifecycle error taxonomy:
 //
@@ -125,36 +126,15 @@ func (p *Prepared) RunContext(ctx context.Context, opts Options) (res *Result, e
 		return res, lifecycle.Infeasible("cardinality bounds are contradictory")
 	}
 
-	strat, err := applyPlan(&opts, qplan)
+	strat, err := ParseStrategy(qplan.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Strategy == Auto {
-		if d := qplan.Decision("strategy"); d != nil {
-			res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf("planner: %s (%s)", d.Value, d.Reason))
-		}
-	}
-	if strat == Solver && !p.Analysis.Linear {
-		res.Stats.Notes = append(res.Stats.Notes,
-			fmt.Sprintf("solver unavailable (non-linear: %v); falling back to search", p.Analysis.NonlinearReasons))
-		if len(inst.Rows) <= cost.ExactEnumMax {
-			strat = PrunedEnum
-		} else {
-			strat = LocalSearchStrategy
-		}
-	}
-	if strat == SketchRefineStrategy {
-		if err := sketch.Applicable(inst); err != nil {
+	if d := qplan.Decision("strategy"); d != nil && !d.Forced {
+		res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf("planner: %s (%s)", d.Value, d.Reason))
+		if opts.Strategy != Auto {
 			res.Stats.Notes = append(res.Stats.Notes,
-				fmt.Sprintf("sketch-refine unavailable (%v); falling back", err))
-			switch {
-			case p.Analysis.Linear:
-				strat = Solver
-			case len(inst.Rows) <= cost.ExactEnumMax:
-				strat = PrunedEnum
-			default:
-				strat = LocalSearchStrategy
-			}
+				fmt.Sprintf("%s unavailable; falling back to %s", opts.Strategy, strat))
 		}
 	}
 	res.Stats.Strategy = strat
@@ -184,7 +164,7 @@ func (p *Prepared) RunContext(ctx context.Context, opts Options) (res *Result, e
 	case Solver:
 		mults, err = p.runSolver(ctx, res, opts, fetch)
 	case SketchRefineStrategy:
-		mults, err = p.runSketch(ctx, res, opts, fetch)
+		mults, err = p.runSketch(ctx, res, opts, qplan, fetch)
 	default:
 		err = fmt.Errorf("engine: unknown strategy %v", strat)
 	}
@@ -296,7 +276,10 @@ func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, fetc
 	return mults, nil
 }
 
-func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fetch int) ([][]int, error) {
+// runSketch runs SketchRefine with the plan's τ, depth, parallelism,
+// bound stage and patch permission; opts contributes only what the
+// planner does not decide (seed, budgets, caches, pins).
+func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp *plan.Plan, fetch int) ([][]int, error) {
 	start := time.Now()
 	cache, memo := p.sketchTiers(opts)
 	if cache == nil && fetch > 1 && p.Instance.MaxMult == 1 {
@@ -306,38 +289,27 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 		// isolation promise holds.
 		cache = sketch.NewCache(2)
 	}
-	// The planner's bound decision names the pipeline stage to run;
-	// non-sketch values (milp-dual, none) fall through to "" = the
-	// engine's full pipeline.
-	boundMode := ""
-	if res.Stats.Plan != nil {
-		switch res.Stats.Plan.Bound {
-		case plan.BoundRawLP, plan.BoundTreeLP, plan.BoundTreeLPTighten, plan.BoundDescend1:
-			boundMode = res.Stats.Plan.Bound
-		}
-	}
 	sopts := sketch.Options{
 		Ctx:              ctx,
-		MaxPartitionSize: opts.SketchPartitionSize,
-		NumPartitions:    opts.SketchPartitions,
-		Depth:            opts.SketchDepth,
+		MaxPartitionSize: qp.Tau,
+		Depth:            qp.Depth,
 		Seed:             opts.Seed,
 		Timeout:          opts.Timeout,
 		Cache:            cache,
 		Require:          opts.Require,
-		Parallelism:      opts.SketchParallelism,
+		Parallelism:      qp.Parallelism,
 		PersistDir:       opts.SketchPersistDir,
 		GapTolerance:     opts.GapTolerance,
-		BoundMode:        boundMode,
+		BoundMode:        qp.Bound, // "none" (no objective) runs the default pipeline
 	}
 	// Fingerprint memo: resolve the candidate fingerprint incrementally
 	// (zero hashing on an unchanged table, delta-only after writes) and,
-	// with SketchIncremental, pick up the lineage that lets a stale
-	// cached tree be patched in place instead of rebuilt.
+	// when the plan permits patching, pick up the lineage that lets a
+	// stale cached tree be patched in place instead of rebuilt.
 	if memo != nil {
 		fp, pspec := memo.Advance(p)
 		sopts.Fingerprint = &fp
-		if opts.SketchIncremental {
+		if qp.Incremental {
 			sopts.Patch = pspec
 		}
 	}
@@ -450,12 +422,10 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 			// asks for.
 			perturbed := sopts
 			perturbed.GapTolerance = 0
-			perturbed.NumPartitions = 0
 			perturbed.Cache = nil
 			perturbed.PersistDir = ""
 			perturbed.Fingerprint = nil
 			perturbed.Patch = nil
-			baseTau := sopts.EffectiveTau(len(p.Instance.Rows))
 			seen := map[string]bool{MultKey(sres.Mult): true}
 			for attempt := int64(1); len(mults) < fetch && attempt <= 2*int64(fetch); attempt++ {
 				left, ok := remaining()
@@ -463,7 +433,7 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 					res.Stats.Notes = append(res.Stats.Notes, "sketch-refine: timeout reached before all requested packages")
 					break
 				}
-				perturbed.MaxPartitionSize = baseTau + int(attempt)
+				perturbed.MaxPartitionSize = qp.Tau + int(attempt)
 				perturbed.Seed = opts.Seed + attempt
 				perturbed.Timeout = left
 				alt, err := sketch.Solve(p.Instance, perturbed)

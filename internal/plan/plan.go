@@ -15,9 +15,13 @@
 //     state — emitting a typed Plan whose every Decision carries a cost
 //     estimate and a human-readable reason.
 //
-// Explicit user knobs always win: they enter as Input.Forced and come
-// back out in the Plan marked forced, so EXPLAIN shows exactly which
-// choices the user pinned and which the planner made.
+// Explicit user knobs win: they enter as Input.Forced and come back out
+// in the Plan marked forced, so EXPLAIN shows exactly which choices the
+// user pinned and which the planner made. The one exception is a forced
+// strategy the query cannot run under (the solver on a non-linear
+// query, SketchRefine where the sketch compiler refuses): the planner
+// picks in its place and says so in the strategy decision's reason.
+// The engine runs the plan as decided.
 //
 // The package deliberately does not import internal/core or
 // internal/sketch — core consumes plans, so strategies are named by
@@ -283,8 +287,8 @@ type Plan struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// Maintenance is the patch-vs-rebuild choice.
 	Maintenance string `json:"maintenance,omitempty"`
-	// Incremental is Maintenance folded to the engine's boolean knob:
-	// false only when the planner wants a rebuild.
+	// Incremental is Maintenance folded to the engine's patch
+	// permission: false only when the plan wants a rebuild.
 	Incremental bool `json:"incremental"`
 	// TreeSource predicts where the partition tree will come from.
 	TreeSource string `json:"treeSource,omitempty"`

@@ -76,6 +76,19 @@ func TestDecisionMatrix(t *testing.T) {
 			in.Mix.SketchErr = "subquery atom"
 			return in
 		}(), map[string]string{"strategy": StrategySolver}},
+		{"mix/forced-solver-nonlinear", func() Input {
+			in := baseInput(10)
+			in.Mix = AtomMix{Linear: false, NonlinearReasons: []string{"objective multiplies aggregates"}}
+			in.Forced.Strategy = StrategySolver
+			return in
+		}(), map[string]string{"strategy": StrategyPrunedEnum}},
+		{"mix/forced-sketch-inapplicable", func() Input {
+			in := baseInput(100_000)
+			in.Mix.SketchOK = false
+			in.Mix.SketchErr = "subquery atom"
+			in.Forced.Strategy = StrategySketch
+			return in
+		}(), map[string]string{"strategy": StrategySolver}},
 		{"mix/minmax-caps-depth", func() Input {
 			in := baseInput(3_000_000) // τ=256 → 11719 leaves → depth 3 if unconstrained
 			in.Mix.MinMax = 1

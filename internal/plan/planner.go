@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Plan runs the execution planner over one input snapshot and returns
@@ -281,21 +282,45 @@ func (pl *Planner) pickParallelism(p *Plan, in Input, procs int) int {
 	return par
 }
 
-// pickStrategy is the cost comparison at the heart of the planner.
+// pickStrategy records the strategy decision. A forced strategy wins
+// unless the query cannot run under it — the solver on a non-linear
+// query, SketchRefine on a query the sketch compiler rejects — in
+// which case the planner's own pick replaces it, unforced, with the
+// reason naming the strategy it stands in for.
+func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) string {
+	forced := in.Forced.Strategy
+	d := Decision{Name: "strategy", Value: forced, Forced: true, Reason: "explicit strategy flag"}
+	if why := unavailable(forced, in.Mix); forced == "" || why != "" {
+		d = pl.costStrategy(in, tau, cs)
+		if why != "" {
+			d.Reason = fmt.Sprintf("explicit %s unavailable (%s); %s", forced, why, d.Reason)
+		}
+	}
+	p.Decisions = append(p.Decisions, d)
+	return d.Value
+}
+
+// unavailable says why the query cannot run under strategy, or "" when
+// it can.
+func unavailable(strategy string, mix AtomMix) string {
+	switch {
+	case strategy == StrategySolver && !mix.Linear:
+		return "non-linear: " + strings.Join(mix.NonlinearReasons, "; ")
+	case strategy == StrategySketch && !mix.SketchOK:
+		return mix.SketchErr
+	}
+	return ""
+}
+
+// costStrategy is the cost comparison at the heart of the planner.
 // Non-linear queries can only enumerate or local-search; linear ones
 // weigh the exact MILP against SketchRefine — exact wins while its
 // estimate stays under the affordability budget, the cheaper of the two
 // wins beyond it.
-func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) string {
+func (pl *Planner) costStrategy(in Input, tau int, cs CacheState) Decision {
 	cm := pl.Cost
 	n := in.N
 	d := Decision{Name: "strategy"}
-	if in.Forced.Strategy != "" {
-		d.Value, d.Forced = in.Forced.Strategy, true
-		d.Reason = "explicit strategy flag"
-		p.Decisions = append(p.Decisions, d)
-		return in.Forced.Strategy
-	}
 	if !in.Mix.Linear {
 		enumC, localC := cm.EnumCost(n), cm.LocalSearchCost(n)
 		if n <= cm.ExactEnumMax && in.MaxMult > 0 {
@@ -311,15 +336,13 @@ func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) strin
 			d.Reason = fmt.Sprintf("non-linear query (%s): local search is the only tractable option", why)
 			d.Alternatives = []Alternative{{Value: StrategyPrunedEnum, Cost: enumC}}
 		}
-		p.Decisions = append(p.Decisions, d)
-		return d.Value
+		return d
 	}
 	solverC := cm.SolverCost(n)
 	if !in.Mix.SketchOK {
 		d.Value, d.Cost = StrategySolver, solverC
 		d.Reason = fmt.Sprintf("linear query but sketch inapplicable (%s): exact MILP", in.Mix.SketchErr)
-		p.Decisions = append(p.Decisions, d)
-		return StrategySolver
+		return d
 	}
 	warm := cs.InCache || cs.OnDisk || cs.Patchable
 	sketchC := cm.SketchCost(n, tau, in.Mix.Branches, warm)
@@ -327,8 +350,7 @@ func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) strin
 		d.Value, d.Cost = StrategySolver, solverC
 		d.Reason = fmt.Sprintf("linear query, %d candidates ≤ %d: exact MILP is affordable", n, cm.SketchThreshold)
 		d.Alternatives = []Alternative{{Value: StrategySketch, Cost: sketchC}}
-		p.Decisions = append(p.Decisions, d)
-		return StrategySolver
+		return d
 	}
 	if sketchC < solverC {
 		d.Value, d.Cost = StrategySketch, sketchC
@@ -338,14 +360,12 @@ func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) strin
 		}
 		d.Reason = fmt.Sprintf("linear query, %d candidates > %d: partitioned sketch is cheapest (%s)", n, cm.SketchThreshold, why)
 		d.Alternatives = []Alternative{{Value: StrategySolver, Cost: solverC}}
-		p.Decisions = append(p.Decisions, d)
-		return StrategySketch
+		return d
 	}
 	d.Value, d.Cost = StrategySolver, solverC
 	d.Reason = fmt.Sprintf("linear query: sketch estimate exceeds the exact MILP (%d DNF branches)", in.Mix.Branches)
 	d.Alternatives = []Alternative{{Value: StrategySketch, Cost: sketchC}}
-	p.Decisions = append(p.Decisions, d)
-	return StrategySolver
+	return d
 }
 
 // pickMaintenance decides patch-vs-rebuild from the catalog's delta

@@ -47,9 +47,10 @@
 // process skips the offline step as well. Both tiers are maintained
 // incrementally (WithSketchIncremental, on by default): a shared
 // fingerprint memo makes warm evaluations over unchanged tables hash
-// zero candidate rows, and after INSERTs or DELETEs the stale tree is
-// patched in place — the write batch routed or tombstoned through the
-// existing structure — instead of rebuilt from scratch.
+// zero candidate rows, and after INSERTs or DELETEs the planner patches
+// the stale tree in place — the write batch routed or tombstoned
+// through the existing structure — instead of rebuilding it, while the
+// delta stays within its patch budget.
 //
 // SketchRefine covers the full PaQL atom grammar, not just conjunctive
 // SUM/COUNT comparisons: AVG atoms are linearized as SUM − c·COUNT with
@@ -315,19 +316,15 @@ func WithSketchPersistDir(dir string) Option {
 	return func(o *core.Options) { o.SketchPersistDir = dir }
 }
 
-// WithSketchIncremental enables or disables incremental partition-tree
-// maintenance (enabled by default): after INSERTs or DELETEs, the
-// cached tree for the pre-write data is patched in place — deletions
-// tombstoned, insertions routed to their leaves, overgrown leaves
-// split locally — instead of rebuilt from scratch, and warm
-// evaluations hash only the written rows rather than every candidate.
+// WithSketchIncremental permits or forbids incremental partition-tree
+// maintenance (permitted by default): after INSERTs or DELETEs, the
+// cached tree for the pre-write data may be patched in place —
+// deletions tombstoned, insertions routed to their leaves, overgrown
+// leaves split locally — instead of rebuilt from scratch. While
+// permitted, the planner decides patch-vs-rebuild from the table's
+// delta; WithSketchIncremental(false) forces a rebuild.
 func WithSketchIncremental(enabled bool) Option {
-	return func(o *core.Options) {
-		o.SketchIncremental = enabled
-		// An explicit caller choice is "forced": the planner's
-		// patch-vs-rebuild decision must not override it.
-		o.SketchIncrementalSet = true
-	}
+	return func(o *core.Options) { o.SketchIncremental = enabled }
 }
 
 // Planner is the cost-based query planner: it binds a query against the
@@ -353,8 +350,9 @@ func WithPlanner(pl *Planner) Option {
 }
 
 func (s *System) buildOptions(opts []Option) core.Options {
-	// Incremental maintenance is on by default at the System surface;
-	// WithSketchIncremental(false) opts out per query.
+	// Incremental maintenance is permitted by default at the System
+	// surface (the planner decides per query); WithSketchIncremental(false)
+	// forces a rebuild.
 	o := core.Options{SketchIncremental: true}
 	for _, fn := range opts {
 		fn(&o)

@@ -179,8 +179,9 @@ func TestPerTupleProductIsLinear(t *testing.T) {
 // end-to-end through the public API under the exact solver, under
 // SketchRefine, and under Auto — plain, with REPEAT, and with a pinned
 // tuple — so each newly supported atom has system-level coverage, not
-// just unit tests. SketchRefine combinations additionally assert the
-// query stayed on the sketch path (no silent fallback to exact).
+// just unit tests. Every cell asserts the executed strategy is the
+// plan's; SketchRefine combinations additionally assert the query
+// stayed on the sketch path (no silent fallback to exact).
 func TestScenarioAtomStrategyMatrix(t *testing.T) {
 	sys := pb.New()
 	if err := dataset.LoadRecipes(sys.DB(), "recipes", dataset.RecipesConfig{N: 300, Seed: 42}); err != nil {
@@ -247,6 +248,9 @@ func TestScenarioAtomStrategyMatrix(t *testing.T) {
 					p := res.Packages[0]
 					if p.Size() != 3 {
 						t.Errorf("package size %d, want 3", p.Size())
+					}
+					if got, want := res.Stats.Strategy.String(), res.Stats.Plan.Strategy; got != want {
+						t.Errorf("ran %s, plan says %s (notes: %v)", got, want, res.Stats.Notes)
 					}
 					if strat.st == pb.SketchRefine {
 						if res.Stats.Strategy != pb.SketchRefine {
